@@ -29,13 +29,6 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def hamming_to_many(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Hamming distances from one descriptor to each row of a matrix."""
-    if mat.shape[-1] != q.shape[-1]:
-        raise ValueError(f"descriptor width mismatch: {width_of(q)} vs {width_of(mat)} bits")
-    return np.bitwise_count(mat ^ q).sum(axis=1, dtype=np.int32)
-
-
 def hamming_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
     """All-pairs Hamming distances between two descriptor matrices.
 

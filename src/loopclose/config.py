@@ -94,7 +94,6 @@ class RunConfig:
             island_halfwidth=self.island_halfwidth,
             shortcut_after=self.shortcut_after,
             min_inliers=self.min_inliers,
-            match_ratio=self.ratio,
             ransac=RansacParams(
                 max_iterations=self.ransac_iterations,
                 inlier_threshold=self.ransac_threshold,

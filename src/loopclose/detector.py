@@ -35,7 +35,8 @@ class DetectorParams:
     ``buffer_size`` frames are withheld from candidacy (an image becomes
     eligible once it is at least that many frames old).  ``shortcut_after``
     is the consecutive-closure count that must be strictly exceeded before
-    a priority-island loop is accepted without geometry.
+    a priority-island loop is accepted without geometry.  Putative
+    matching uses ``VocabParams.ratio``, the ratio test of word assignment.
     """
 
     buffer_size: int = 50
@@ -43,7 +44,6 @@ class DetectorParams:
     island_halfwidth: int = 5
     shortcut_after: float = 20
     min_inliers: int = 24
-    match_ratio: float = 0.8
     ransac: RansacParams = field(default_factory=RansacParams)
 
     def __post_init__(self):
@@ -301,7 +301,7 @@ class LoopDetector:
             inliers = None
             path = PATH_SHORTCUT
         else:
-            pa, pb = ratio_match(features, self.frames[candidate], self.params.match_ratio)
+            pa, pb = ratio_match(features, self.frames[candidate], self.vocab_params.ratio)
             ransac = replace(self.params.ransac, seed=self.params.ransac.seed + t)
             _, mask = ransac_fundamental(pa, pb, ransac)
             inliers = int(mask.sum())

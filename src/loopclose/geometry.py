@@ -104,13 +104,16 @@ def eight_point(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     canonicalised to unit norm with a positive leading entry.
 
     Raises ``ValueError`` for fewer than 8 points and
-    :class:`EstimationFailedError` for degenerate configurations.
+    :class:`EstimationFailedError` for degenerate configurations or
+    non-finite coordinates.
     """
     points_a = np.asarray(points_a, dtype=np.float64)
     points_b = np.asarray(points_b, dtype=np.float64)
     n = len(points_a)
     if n < 8 or len(points_b) != n:
         raise ValueError(f"need >= 8 correspondences on both sides, got {n} and {len(points_b)}")
+    if not (np.isfinite(points_a).all() and np.isfinite(points_b).all()):
+        raise EstimationFailedError("non-finite point coordinates")
 
     na, ta = _normalising_transform(points_a)
     nb, tb = _normalising_transform(points_b)

@@ -6,6 +6,10 @@ capacity.  Several trees are built over the same word set and searched
 together: the query descends every tree once, unexplored children go onto
 a shared priority queue keyed by centre distance, and the search keeps
 popping the queue until a budget of distinct descriptors has been examined.
+A descriptor reached through several trees is counted once: the search
+stamps the store rows it has examined, so the bookkeeping is sized by the
+store's row capacity, which follows the peak live vocabulary rather than
+the number of word ids ever created.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and an
@@ -81,7 +85,8 @@ class DescriptorStore:
     Rows are stable for the lifetime of a word, so tree leaves can cache
     row indices.  Descriptors are mutated in place by :meth:`merge_and`;
     routing copies taken via :meth:`get` are unaffected.  A row -> word id
-    array (-1 on free rows) lets :meth:`scan` map live rows back to words.
+    array (-1 on free rows) lets :meth:`scan` and the forest's search map
+    rows back to words.
     """
 
     def __init__(self, nbytes: int, capacity: int = 1024):
@@ -151,6 +156,11 @@ class DescriptorStore:
     def gather(self, rows: np.ndarray) -> np.ndarray:
         return self._data[rows]
 
+    @property
+    def capacity(self) -> int:
+        """Number of rows allocated; row indices are always below it."""
+        return len(self._word_of)
+
     def scan(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Word ids and distances to ``q`` of every live descriptor."""
         rows = np.flatnonzero(self._word_of >= 0)
@@ -174,7 +184,6 @@ class TreeNode:
         "ids",
         "rows",
         "_centre_mat",
-        "_ids_arr",
         "_rows_arr",
     )
 
@@ -186,28 +195,27 @@ class TreeNode:
         self.ids: list[int] | None = None
         self.rows: list[int] | None = None
         self._centre_mat = None
-        self._ids_arr = None
         self._rows_arr = None
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def centre_matrix(self) -> np.ndarray:
-        # Cached as a uint64 view for fast XOR/popcount during descent.
+    def child_distances(self, q64: np.ndarray) -> np.ndarray:
+        """Hamming distance from a query (``uint64`` view) to each child's centre."""
+        # The centres are cached as a uint64 matrix for fast XOR/popcount.
         if self._centre_mat is None:
             self._centre_mat = np.stack([c.centre for c in self.children]).view(np.uint64)
-        return self._centre_mat
+        return np.bitwise_count(self._centre_mat ^ q64).sum(axis=1, dtype=np.int32)
 
-    def leaf_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._ids_arr is None:
-            self._ids_arr = np.asarray(self.ids, dtype=np.int64)
+    def rows_array(self) -> np.ndarray:
+        """The store rows of a leaf's words, cached as an array."""
+        if self._rows_arr is None:
             self._rows_arr = np.asarray(self.rows, dtype=np.int64)
-        return self._ids_arr, self._rows_arr
+        return self._rows_arr
 
     def invalidate(self) -> None:
         self._centre_mat = None
-        self._ids_arr = None
         self._rows_arr = None
 
 
@@ -290,8 +298,7 @@ class HammingTree:
         q64 = np.ascontiguousarray(q).view(np.uint64)
         node = self.root
         while not node.is_leaf:
-            d = np.bitwise_count(node.centre_matrix() ^ q64).sum(axis=1, dtype=np.int32)
-            node = node.children[int(np.argmin(d))]
+            node = node.children[int(np.argmin(node.child_distances(q64)))]
         return node
 
     def insert(self, word_id: int) -> None:
@@ -324,19 +331,11 @@ class HammingTree:
         leaf.rows.pop(idx)
         leaf.invalidate()
 
-        ancestors = []
-        a = leaf.parent
-        while a is not None:
-            ancestors.append(a)
-            a = a.parent
-
-        removed = set()
         node = leaf
         while node.parent is not None and self._is_empty(node):
             parent = node.parent
             parent.children.remove(node)
             parent.invalidate()
-            removed.add(id(node))
             node = parent
         if node is self.root and not node.is_leaf and not node.children:
             node.children = None
@@ -344,11 +343,12 @@ class HammingTree:
             node.rows = []
             node.invalidate()
 
-        for anc in ancestors:
-            if id(anc) in removed or anc.is_leaf:
-                continue
-            if anc.centre_word == word_id and anc.children:
-                self._reselect_centre(anc)
+        # Pruning stopped at ``node``: it and its ancestors are exactly the
+        # surviving nodes on the removed word's path, bottom-up.
+        while node is not None:
+            if node.children and node.centre_word == word_id:
+                self._reselect_centre(node)
+            node = node.parent
 
     @staticmethod
     def _is_empty(node: TreeNode) -> bool:
@@ -419,8 +419,7 @@ class HammingForest:
         self.trees = [
             HammingTree(self.store, branching, leaf_capacity, self.rng) for _ in range(num_trees)
         ]
-        self._id_limit = 0
-        self._stamp = np.zeros(1024, dtype=np.int64)
+        self._stamp = np.zeros(self.store.capacity, dtype=np.int64)  # row -> last search epoch
         self._epoch = 0
 
     def __len__(self) -> int:
@@ -433,14 +432,12 @@ class HammingForest:
         """Build every tree over an id -> descriptor mapping."""
         for word_id, desc in words.items():
             self.store.add(word_id, desc)
-            self._note_id(word_id)
         ids = list(words)
         for tree in self.trees:
             tree.build(ids)
 
     def insert(self, word_id: int, desc: np.ndarray) -> None:
         self.store.add(word_id, desc)
-        self._note_id(word_id)
         for tree in self.trees:
             tree.insert(word_id)
 
@@ -454,14 +451,6 @@ class HammingForest:
 
     def merge_and(self, word_id: int, q: np.ndarray) -> None:
         self.store.merge_and(word_id, q)
-
-    def _note_id(self, word_id: int) -> None:
-        if word_id >= self._id_limit:
-            self._id_limit = word_id + 1
-            if self._id_limit > len(self._stamp):
-                grown = np.zeros(max(self._id_limit, len(self._stamp) * 2), dtype=np.int64)
-                grown[: len(self._stamp)] = self._stamp
-                self._stamp = grown
 
     def knn_search(self, q: np.ndarray, k: int, budget: int | None = None) -> list[Neighbor]:
         """Budgeted best-bin-first search for the ``k`` nearest words.
@@ -490,6 +479,8 @@ class HammingForest:
 
     def _best_bin_first(self, q: np.ndarray, k: int, budget: int) -> list[Neighbor]:
         """The tree walk of :meth:`knn_search`, for a validated query."""
+        if len(self._stamp) < self.store.capacity:
+            self._stamp = np.zeros(self.store.capacity, dtype=np.int64)
         self._epoch += 1
         epoch = self._epoch
         stamp = self._stamp
@@ -497,41 +488,29 @@ class HammingForest:
         q64 = np.ascontiguousarray(q).view(np.uint64)
         heap: list = []
         tick = _counter()
-        found_ids: list[np.ndarray] = []
+        found_rows: list[np.ndarray] = []
         found_dists: list[np.ndarray] = []
         examined = 0
 
-        single_tree = len(self.trees) == 1
-
         def scan(leaf: TreeNode) -> None:
             nonlocal examined
-            if not leaf.ids:
+            if not leaf.rows:
                 return
-            ids_arr, rows_arr = leaf.leaf_arrays()
-            if single_tree:
-                # Within one tree every leaf is reached at most once per
-                # search, so no cross-tree duplicate tracking is needed.
-                new_ids, new_rows = ids_arr, rows_arr
-                n_fresh = len(ids_arr)
-            else:
-                fresh = stamp[ids_arr] != epoch
-                n_fresh = int(np.count_nonzero(fresh))
-                if n_fresh == 0:
-                    return
-                if n_fresh == len(ids_arr):
-                    new_ids, new_rows = ids_arr, rows_arr
-                else:
-                    new_ids = ids_arr[fresh]
-                    new_rows = rows_arr[fresh]
-                stamp[new_ids] = epoch
-            dists = np.bitwise_count(data64[new_rows] ^ q64).sum(axis=1, dtype=np.int32)
-            found_ids.append(new_ids)
-            found_dists.append(dists)
+            rows = leaf.rows_array()
+            fresh = stamp[rows] != epoch
+            n_fresh = int(np.count_nonzero(fresh))
+            if n_fresh == 0:
+                return
+            if n_fresh < len(rows):
+                rows = rows[fresh]
+            stamp[rows] = epoch
+            found_rows.append(rows)
+            found_dists.append(np.bitwise_count(data64[rows] ^ q64).sum(axis=1, dtype=np.int32))
             examined += n_fresh
 
         def descend(node: TreeNode) -> None:
             while node.children is not None:
-                d = np.bitwise_count(node.centre_matrix() ^ q64).sum(axis=1, dtype=np.int32)
+                d = node.child_distances(q64)
                 best = int(d.argmin())
                 children = node.children
                 if len(children) > 1:
@@ -551,9 +530,10 @@ class HammingForest:
             else:
                 descend(node)
 
-        if not found_ids:
+        if not found_rows:
             return []
-        return _nearest(np.concatenate(found_ids), np.concatenate(found_dists), k)
+        ids = self.store._word_of[np.concatenate(found_rows)]
+        return _nearest(ids, np.concatenate(found_dists), k)
 
 
 def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> list[Neighbor]:

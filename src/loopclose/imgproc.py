@@ -370,7 +370,10 @@ def write_features(path, features: FeatureSet, pattern_seed: int = DEFAULT_PATTE
 
 
 def read_features(path, expected_bits: int | None = None, expected_seed: int | None = None) -> FeatureSet:
-    """Read a feature file, checking magic, width and (optionally) seed."""
+    """Read a feature file, checking magic, width and (optionally) seed.
+
+    Non-finite keypoint coordinates or responses are rejected, naming the file.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -395,6 +398,10 @@ def read_features(path, expected_bits: int | None = None, expected_seed: int | N
     if len(payload) < count * dtype.itemsize:
         raise FeatureFileError(f"{path}: truncated payload, expected {count} features")
     records = np.frombuffer(payload, dtype=dtype, count=count)
+    for name in ("x", "y", "response"):
+        bad = np.flatnonzero(~np.isfinite(records[name]))
+        if len(bad):
+            raise FeatureFileError(f"{path}: non-finite {name} in feature {int(bad[0])}")
     kps = np.column_stack([records["x"], records["y"]]).astype(np.float32)
     if count == 0:
         return FeatureSet.empty(bits)

@@ -50,7 +50,6 @@ class VocabParams:
     required_matches: int = 2
     purge: bool = True
     seed: int = 0
-    lone_word_radius: int | None = None  # default: width // 4
 
     def __post_init__(self):
         if self.branching < 2 or self.leaf_capacity < 1 or self.num_trees < 1:
@@ -67,7 +66,6 @@ class VocabParams:
 class WordInfo:
     created_at: int
     times_matched: int
-    temporary: bool
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class Vocabulary:
             wid = self._next_id
             self._next_id += 1
             initial[wid] = features.descriptors[i].copy()
-            self.words[wid] = WordInfo(created_at=0, times_matched=0, temporary=False)
+            self.words[wid] = WordInfo(created_at=0, times_matched=0)
             self.postings[wid] = [(image_id, 1)]
         self.forest.build(initial)
         self.image_term_totals[image_id] = len(features)
@@ -155,13 +153,11 @@ class Vocabulary:
         Returns ``(matches, unmatched)`` where matches are
         ``(feature_index, word_id)`` pairs.  With a single candidate in the
         vocabulary the ratio test is undefined and a fixed accept radius
-        (a quarter of the descriptor width by default) is used instead.
+        (a quarter of the descriptor width) is used instead.
         """
         if not self.words:
             raise ValueError("vocabulary is empty")
-        radius = self.params.lone_word_radius
-        if radius is None:
-            radius = self.width // 4
+        radius = self.width // 4
         matches: list[tuple[int, int]] = []
         unmatched: list[int] = []
         descs = features.descriptors
@@ -206,7 +202,7 @@ class Vocabulary:
             wid = self._next_id
             self._next_id += 1
             self.forest.insert(wid, features.descriptors[i].copy())
-            self.words[wid] = WordInfo(created_at=frame, times_matched=0, temporary=True)
+            self.words[wid] = WordInfo(created_at=frame, times_matched=0)
             self._temporary.add(wid)
             self.postings[wid] = [(image_id, 1)]
             self.image_term_totals[image_id] = self.image_term_totals.get(image_id, 0) + 1
@@ -223,7 +219,6 @@ class Vocabulary:
             if current_frame - info.created_at < self.params.probation_frames:
                 continue
             if info.times_matched >= self.params.required_matches:
-                info.temporary = False
                 self._temporary.discard(wid)
             else:
                 self.forest.remove(wid)

@@ -1,7 +1,7 @@
 import numpy as np
 
 from loopclose.cli import main
-from loopclose.imgproc import read_features, write_pgm
+from loopclose.imgproc import read_features, write_features, write_pgm
 
 
 def write_config(path, **values):
@@ -86,6 +86,24 @@ def test_synth_then_run_features(tmp_path):
     assert main(["run", config]) == 0
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "recall:" in summary
+
+
+def test_run_rejects_non_finite_keypoint(tmp_path, capsys):
+    feat_dir = tmp_path / "seq"
+    assert main(["synth", "new:12", str(feat_dir), "--features", "30", "--seed", "3"]) == 0
+    bad = sorted(feat_dir.glob("*.feat"))[5]
+    fs = read_features(bad)
+    fs.keypoints[0, 0] = np.nan
+    write_features(bad, fs, pattern_seed=3)
+    capsys.readouterr()
+
+    config = write_config(
+        tmp_path / "c.cfg", mode="features", input=str(feat_dir), p=4, out=str(tmp_path / "out")
+    )
+    assert main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and bad.name in err and "non-finite x" in err
 
 
 def test_extract_pipeline(tmp_path, capsys):

@@ -111,6 +111,17 @@ class TestEightPoint:
         with pytest.raises(ValueError, match=">= 8"):
             eight_point(pts, pts)
 
+    def test_non_finite_points_fail(self):
+        rng = np.random.default_rng(6)
+        pa, pb, _ = synthetic_two_view(rng, 8)
+        for bad in (np.nan, np.inf):
+            corrupt = pa.copy()
+            corrupt[2, 1] = bad
+            with pytest.raises(EstimationFailedError, match="non-finite"):
+                eight_point(corrupt, pb)
+            with pytest.raises(EstimationFailedError, match="non-finite"):
+                eight_point(pb, corrupt)
+
 
 class TestSampson:
     def test_zero_on_perfect_correspondences(self):
@@ -158,6 +169,15 @@ class TestRansac:
         f, mask = ransac_fundamental(pts, pts, RansacParams(seed=0))
         assert f is None
         assert mask.sum() == 0
+
+    def test_nan_keypoint_is_an_outlier(self):
+        # One NaN correspondence used to make LAPACK raise inside RANSAC.
+        rng = np.random.default_rng(9)
+        pa, pb, _ = synthetic_two_view(rng, 100)
+        pa[3, 0] = np.nan
+        f, mask = ransac_fundamental(pa, pb, RansacParams(seed=0))
+        assert f is not None
+        assert not mask[3] and mask.sum() == 99
 
     def test_hopeless_data_returns_zero_inliers(self):
         pts = np.tile([[5.0, 5.0]], (20, 1))

@@ -138,6 +138,27 @@ class TestSearch:
             assert forest._best_bin_first(q, 5, budget=len(forest)) == got
             assert not {n.word_id for n in got} & set(range(0, 300, 4))
 
+    def test_sparse_word_ids_dedup_sized_by_store_rows(self):
+        # Word ids are never reused, so they run far past the live
+        # vocabulary; the walk's cross-tree dedup must be sized by store
+        # rows, which removals free and later inserts reuse.
+        rng = np.random.default_rng(22)
+        descs = random_descriptors(rng, 1600)
+        ids = [10**6 + 1000 * i for i in range(1600)]
+        forest = HammingForest(leaf_capacity=20, branching=4, num_trees=3, seed=22)
+        forest.build({ids[i]: descs[i] for i in range(400)})
+        queries = random_descriptors(rng, 20)
+        forest.knn_search(queries[0], 2)  # a walk before the store grows
+        for i in range(400, 1600):  # grows the store past its first 1024 rows
+            forest.insert(ids[i], descs[i])
+            if i % 3 == 0:
+                forest.remove(ids[i - 300])
+        for q in queries:
+            got = forest.knn_search(q, 5, budget=len(forest))
+            assert forest._best_bin_first(q, 5, budget=len(forest)) == got
+            assert len(forest._stamp) <= forest.store.capacity
+        assert forest.store.capacity < 10**6
+
     def test_stored_word_found_at_distance_zero(self):
         rng = np.random.default_rng(6)
         descs = random_descriptors(rng, 500)

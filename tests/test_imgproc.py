@@ -225,6 +225,22 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError, match="truncated"):
             read_features(path)
 
+    def test_non_finite_keypoint_rejected(self, tmp_path):
+        fs = self._features(10)
+        fs.keypoints[4, 1] = np.nan
+        path = tmp_path / "nan.feat"
+        write_features(path, fs)
+        with pytest.raises(FeatureFileError, match=r"nan\.feat: non-finite y in feature 4"):
+            read_features(path)
+
+    def test_non_finite_response_rejected(self, tmp_path):
+        fs = self._features(10)
+        fs.responses[7] = np.inf
+        path = tmp_path / "inf.feat"
+        write_features(path, fs)
+        with pytest.raises(FeatureFileError, match=r"inf\.feat: non-finite response in feature 7"):
+            read_features(path)
+
 
 def test_extraction_pipeline_is_reproducible(tmp_path):
     # Same image + config seed must give byte-identical feature files.

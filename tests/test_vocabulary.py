@@ -80,9 +80,9 @@ class TestAssignWords:
         probe = ~fs.descriptors[0]  # near-complement of every stored word
         matches, unmatched = vocab.assign_words(feature_set([probe]))
         # oracle: the ratio test must fail by exhaustive scan
-        from loopclose.bits import hamming_to_many
+        from loopclose.bits import hamming_matrix
 
-        d = np.sort(hamming_to_many(probe, fs.descriptors))
+        d = np.sort(hamming_matrix(probe[None], fs.descriptors)[0])
         assert d[0] >= 0.8 * d[1]
         assert matches == [] and unmatched == [0]
 
