@@ -44,7 +44,7 @@ from .geometry import (
     ratio_match,
     sampson_distance,
 )
-from .hamming_tree import HammingForest, HammingTree, Neighbor, TreeNode, build_tree
+from .hamming_tree import HammingForest, HammingTree, Neighbor, TreeNode
 from .imgproc import (
     FeatureFileError,
     FeatureSet,

@@ -35,7 +35,10 @@ def _cmd_extract(args) -> int:
         print(f"extract: no files in {img_dir}", file=sys.stderr)
         return 1
     for path in paths:
-        img = load_pgm(path)
+        try:
+            img = load_pgm(path)
+        except ValueError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         corners = detect_corners(img, args.features, args.threshold)
         features = extract_descriptors(img, corners, pattern_seed=args.seed, width=args.bits)
         write_features(feat_dir / (path.stem + ".feat"), features, pattern_seed=args.seed)
@@ -137,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

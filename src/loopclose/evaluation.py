@@ -175,9 +175,7 @@ def _iter_image_frames(config: RunConfig) -> Iterator[FeatureSet]:
     for index, path in enumerate(paths):
         try:
             img = load_pgm(path)
-        except OSError as exc:
-            raise RuntimeError(f"frame {index} ({path.name}): unreadable: {exc}") from exc
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise type(exc)(f"frame {index} ({path.name}): {exc}") from exc
         corners = detect_corners(img, config.features, config.corner_threshold)
         yield extract_descriptors(

@@ -61,13 +61,10 @@ def ratio_match(
         return empty
     ib = nearest[ia]
     order = np.lexsort((ia, d1[ia]))
-    claimed = np.zeros(len(feats_b), dtype=bool)
-    sel = []
-    for j in order:
-        if not claimed[ib[j]]:
-            claimed[ib[j]] = True
-            sel.append(j)
-    sel = np.asarray(sel)
+    # Each target keeps its first claim in (distance, index) order, and the
+    # survivors stay in that order.
+    _, first = np.unique(ib[order], return_index=True)
+    sel = order[np.sort(first)]
     pa = feats_a.keypoints[ia[sel]].astype(np.float64)
     pb = feats_b.keypoints[ib[sel]].astype(np.float64)
     return pa, pb

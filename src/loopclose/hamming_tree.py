@@ -6,19 +6,21 @@ capacity.  Several trees are built over the same word set and searched
 together: the query descends every tree once, unexplored children go onto
 a shared priority queue keyed by centre distance, and the search keeps
 popping the queue until a budget of distinct descriptors has been examined.
-A descriptor reached through several trees is counted once: the search
-stamps the store rows it has examined, so the bookkeeping is sized by the
-store's row capacity, which follows the peak live vocabulary rather than
-the number of word ids ever created.
+A descriptor reached through several trees is counted once: each search
+collects the store rows of the leaves it reaches in a set of its own, then
+makes one Hamming distance pass over that set.  Leaves record store rows
+only; word ids are read from the store's row -> id array where needed.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and an
 internal node whose recorded centre word is deleted reselects a new centre
 from its remaining subtree).
 
-Concurrency contract: searches are read-only and may run concurrently;
-any mutation (insert, remove, descriptor merge) requires exclusive access
-to the forest.  Enforcement is up to the embedder.
+Concurrency contract: searches write no forest state and may run
+concurrently; the one write a search makes is the idempotent fill of a
+node's cached centre matrix.  Any mutation (insert, remove, descriptor
+merge) requires exclusive access to the forest.  Enforcement is up to the
+embedder.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "HammingForest",
     "DescriptorStore",
     "hamming",
-    "build_tree",
 ]
 
 
@@ -82,11 +83,10 @@ class _SiblingCursor:
 class DescriptorStore:
     """Flat storage of live descriptors, addressed by word id.
 
-    Rows are stable for the lifetime of a word, so tree leaves can cache
-    row indices.  Descriptors are mutated in place by :meth:`merge_and`;
+    Rows are stable for the lifetime of a word, so tree leaves record
+    words by row.  Descriptors are mutated in place by :meth:`merge_and`;
     routing copies taken via :meth:`get` are unaffected.  A row -> word id
-    array (-1 on free rows) lets :meth:`scan` and the forest's search map
-    rows back to words.
+    array (-1 on free rows) maps rows back to words.
     """
 
     def __init__(self, nbytes: int, capacity: int = 1024):
@@ -156,19 +156,25 @@ class DescriptorStore:
     def gather(self, rows: np.ndarray) -> np.ndarray:
         return self._data[rows]
 
+    def ids_at(self, rows) -> np.ndarray:
+        """Word ids of the words stored at ``rows``."""
+        return self._word_of[rows]
+
     @property
     def capacity(self) -> int:
         """Number of rows allocated; row indices are always below it."""
         return len(self._word_of)
 
-    def scan(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Word ids and distances to ``q`` of every live descriptor."""
-        rows = np.flatnonzero(self._word_of >= 0)
+    def scan(self, q: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Word ids and distances to ``q`` of the words at ``rows`` (default: every live word)."""
+        if rows is None:
+            rows = np.flatnonzero(self._word_of >= 0)
         return self._word_of[rows], self.distances(q, rows)
 
 
 class TreeNode:
-    """A tree node; ``children is None`` marks a leaf.
+    """A tree node; ``children is None`` marks a leaf, which lists the store
+    rows of its words in ``rows``.
 
     Every node keeps a value snapshot of the descriptor it was clustered
     around (``centre``) plus the originating word id, used only to rank the
@@ -181,10 +187,8 @@ class TreeNode:
         "centre_word",
         "parent",
         "children",
-        "ids",
         "rows",
         "_centre_mat",
-        "_rows_arr",
     )
 
     def __init__(self, centre=None, centre_word=None, parent=None):
@@ -192,10 +196,8 @@ class TreeNode:
         self.centre_word = centre_word
         self.parent = parent
         self.children: list[TreeNode] | None = None
-        self.ids: list[int] | None = None
         self.rows: list[int] | None = None
         self._centre_mat = None
-        self._rows_arr = None
 
     @property
     def is_leaf(self) -> bool:
@@ -208,15 +210,8 @@ class TreeNode:
             self._centre_mat = np.stack([c.centre for c in self.children]).view(np.uint64)
         return np.bitwise_count(self._centre_mat ^ q64).sum(axis=1, dtype=np.int32)
 
-    def rows_array(self) -> np.ndarray:
-        """The store rows of a leaf's words, cached as an array."""
-        if self._rows_arr is None:
-            self._rows_arr = np.asarray(self.rows, dtype=np.int64)
-        return self._rows_arr
-
     def invalidate(self) -> None:
         self._centre_mat = None
-        self._rows_arr = None
 
 
 def iter_leaves(node: TreeNode) -> Iterator[TreeNode]:
@@ -243,7 +238,6 @@ class HammingTree:
         self.leaf_capacity = leaf_capacity
         self.rng = rng
         self.root = TreeNode()
-        self.root.ids = []
         self.root.rows = []
         self._leaf_of: dict[int, TreeNode] = {}
 
@@ -253,43 +247,35 @@ class HammingTree:
         """(Re)build the whole tree over the given word ids."""
         self._leaf_of.clear()
         self.root = TreeNode()
-        self._build_into(self.root, list(word_ids))
+        rows = np.fromiter((self.store.row(i) for i in word_ids), dtype=np.int64)
+        self._build_into(self.root, rows)
 
-    def _build_into(self, node: TreeNode, ids: list[int]) -> None:
+    def _build_into(self, node: TreeNode, rows: np.ndarray) -> None:
         node.invalidate()
-        if len(ids) < self.leaf_capacity or len(ids) < 2:
+        if len(rows) < self.leaf_capacity or len(rows) < 2:
             node.children = None
-            node.ids = ids
-            node.rows = [self.store.row(i) for i in ids]
-            for i in ids:
-                self._leaf_of[i] = node
+            node.rows = rows.tolist()
+            self._leaf_of.update(dict.fromkeys(self.store.ids_at(rows).tolist(), node))
             return
 
-        k = min(self.branching, len(ids))
-        centre_pos = np.sort(self.rng.choice(len(ids), size=k, replace=False))
-        rows = np.fromiter((self.store.row(i) for i in ids), dtype=np.int64, count=len(ids))
+        k = min(self.branching, len(rows))
+        centre_pos = np.sort(self.rng.choice(len(rows), size=k, replace=False))
         descs = self.store.gather(rows)
         centres = descs[centre_pos]
         assign = np.argmin(hamming_matrix(descs, centres, chunk=2048), axis=1)
         if len(np.unique(assign)) < 2:
             # Degenerate split (duplicate descriptors): force progress.
-            assign = np.arange(len(ids)) % k
+            assign = np.arange(len(rows)) % k
 
-        node.ids = None
         node.rows = None
         node.children = []
-        ids_arr = np.asarray(ids, dtype=np.int64)
+        centre_words = self.store.ids_at(rows[centre_pos]).tolist()
         for ci in range(k):
-            member_idx = np.nonzero(assign == ci)[0]
-            if len(member_idx) == 0:
+            members = rows[assign == ci]
+            if len(members) == 0:
                 continue
-            pos = int(centre_pos[ci])
-            child = TreeNode(
-                centre=descs[pos].copy(),
-                centre_word=ids[pos],
-                parent=node,
-            )
-            self._build_into(child, [int(i) for i in ids_arr[member_idx]])
+            child = TreeNode(centre=centres[ci].copy(), centre_word=centre_words[ci], parent=node)
+            self._build_into(child, members)
             node.children.append(child)
 
     # -- online updates -----------------------------------------------
@@ -310,26 +296,20 @@ class HammingTree:
         """
         if word_id in self._leaf_of:
             raise ValueError(f"word {word_id} already in tree")
-        q = self.store.get(word_id)
-        leaf = self.descend_nearest(q)
-        if len(leaf.ids) + 1 < self.leaf_capacity:
-            leaf.ids.append(word_id)
-            leaf.rows.append(self.store.row(word_id))
-            leaf.invalidate()
+        row = self.store.row(word_id)
+        leaf = self.descend_nearest(self.store.get(word_id))
+        if len(leaf.rows) + 1 < self.leaf_capacity:
+            leaf.rows.append(row)
             self._leaf_of[word_id] = leaf
         else:
-            ids = leaf.ids + [word_id]
-            self._build_into(leaf, ids)
+            self._build_into(leaf, np.array(leaf.rows + [row], dtype=np.int64))
 
     def remove(self, word_id: int) -> None:
         """Remove a word; prune emptied nodes and reselect orphaned centres."""
         leaf = self._leaf_of.pop(word_id, None)
         if leaf is None:
             raise KeyError(f"word {word_id} not in tree")
-        idx = leaf.ids.index(word_id)
-        leaf.ids.pop(idx)
-        leaf.rows.pop(idx)
-        leaf.invalidate()
+        leaf.rows.remove(self.store.row(word_id))
 
         node = leaf
         while node.parent is not None and self._is_empty(node):
@@ -339,9 +319,7 @@ class HammingTree:
             node = parent
         if node is self.root and not node.is_leaf and not node.children:
             node.children = None
-            node.ids = []
             node.rows = []
-            node.invalidate()
 
         # Pruning stopped at ``node``: it and its ancestors are exactly the
         # surviving nodes on the removed word's path, bottom-up.
@@ -352,15 +330,15 @@ class HammingTree:
 
     @staticmethod
     def _is_empty(node: TreeNode) -> bool:
-        return (not node.ids) if node.is_leaf else (not node.children)
+        return (not node.rows) if node.is_leaf else (not node.children)
 
     def _reselect_centre(self, node: TreeNode) -> None:
-        subtree_ids = [i for leaf in iter_leaves(node) for i in leaf.ids]
-        if not subtree_ids:
+        subtree_rows = [r for leaf in iter_leaves(node) for r in leaf.rows]
+        if not subtree_rows:
             return
-        new_id = subtree_ids[int(self.rng.integers(len(subtree_ids)))]
-        node.centre_word = new_id
-        node.centre = self.store.get(new_id)
+        new_row = subtree_rows[int(self.rng.integers(len(subtree_rows)))]
+        node.centre_word = int(self.store.ids_at(new_row))
+        node.centre = self.store.gather(new_row).copy()
         if node.parent is not None:
             node.parent.invalidate()
 
@@ -370,7 +348,7 @@ class HammingTree:
         return set(self._leaf_of)
 
     def leaf_sizes(self) -> list[int]:
-        return [len(leaf.ids) for leaf in iter_leaves(self.root)]
+        return [len(leaf.rows) for leaf in iter_leaves(self.root)]
 
     def dump(self) -> str:
         """Tree shape as indented text, for golden-file comparisons."""
@@ -379,7 +357,7 @@ class HammingTree:
         def walk(node: TreeNode, depth: int) -> None:
             tag = "root" if node.centre_word is None else f"c=w{node.centre_word}"
             if node.is_leaf:
-                ids = ",".join(f"w{i}" for i in node.ids)
+                ids = ",".join(f"w{i}" for i in self.store.ids_at(node.rows))
                 lines.append("  " * depth + f"leaf {tag} [{ids}]")
             else:
                 lines.append("  " * depth + f"node {tag}")
@@ -419,8 +397,6 @@ class HammingForest:
         self.trees = [
             HammingTree(self.store, branching, leaf_capacity, self.rng) for _ in range(num_trees)
         ]
-        self._stamp = np.zeros(self.store.capacity, dtype=np.int64)  # row -> last search epoch
-        self._epoch = 0
 
     def __len__(self) -> int:
         return len(self.store)
@@ -479,34 +455,10 @@ class HammingForest:
 
     def _best_bin_first(self, q: np.ndarray, k: int, budget: int) -> list[Neighbor]:
         """The tree walk of :meth:`knn_search`, for a validated query."""
-        if len(self._stamp) < self.store.capacity:
-            self._stamp = np.zeros(self.store.capacity, dtype=np.int64)
-        self._epoch += 1
-        epoch = self._epoch
-        stamp = self._stamp
-        data64 = self.store._data64
         q64 = np.ascontiguousarray(q).view(np.uint64)
         heap: list = []
         tick = _counter()
-        found_rows: list[np.ndarray] = []
-        found_dists: list[np.ndarray] = []
-        examined = 0
-
-        def scan(leaf: TreeNode) -> None:
-            nonlocal examined
-            if not leaf.rows:
-                return
-            rows = leaf.rows_array()
-            fresh = stamp[rows] != epoch
-            n_fresh = int(np.count_nonzero(fresh))
-            if n_fresh == 0:
-                return
-            if n_fresh < len(rows):
-                rows = rows[fresh]
-            stamp[rows] = epoch
-            found_rows.append(rows)
-            found_dists.append(np.bitwise_count(data64[rows] ^ q64).sum(axis=1, dtype=np.int32))
-            examined += n_fresh
+        seen: set[int] = set()  # store rows examined, across trees
 
         def descend(node: TreeNode) -> None:
             while node.children is not None:
@@ -518,22 +470,16 @@ class HammingForest:
                     second = int(d.argmin())
                     heapq.heappush(heap, (int(d[second]), next(tick), _SiblingCursor(children, d)))
                 node = children[best]
-            scan(node)
+            seen.update(node.rows)
 
         for tree in self.trees:
             descend(tree.root)
-        while heap and examined < budget:
+        while heap and len(seen) < budget:
             _, _, cursor = heapq.heappop(heap)
-            node = cursor.next_child(heap, tick)
-            if node.children is None:
-                scan(node)
-            else:
-                descend(node)
+            descend(cursor.next_child(heap, tick))
 
-        if not found_rows:
-            return []
-        ids = self.store._word_of[np.concatenate(found_rows)]
-        return _nearest(ids, np.concatenate(found_dists), k)
+        rows = np.fromiter(seen, dtype=np.int64, count=len(seen))
+        return _nearest(*self.store.scan(q, rows), k)
 
 
 def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> list[Neighbor]:
@@ -541,15 +487,3 @@ def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> list[Neighbor]:
     order = np.lexsort((ids, dists))[:k]
     return [Neighbor(int(ids[i]), int(dists[i])) for i in order]
 
-
-def build_tree(words: dict[int, np.ndarray], branching: int, leaf_capacity: int, seed: int) -> HammingTree:
-    """Build a standalone tree (with its own store) over an id -> descriptor map."""
-    if not words:
-        raise ValueError("cannot build a tree over an empty word set")
-    first = next(iter(words.values()))
-    store = DescriptorStore(first.shape[-1])
-    for word_id, desc in words.items():
-        store.add(word_id, desc)
-    tree = HammingTree(store, branching, leaf_capacity, np.random.default_rng(seed))
-    tree.build(list(words))
-    return tree

@@ -14,6 +14,7 @@ be processed concurrently.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -394,9 +395,14 @@ def read_features(path, expected_bits: int | None = None, expected_seed: int | N
                 f"{path}: pattern seed {seed} does not match configured {expected_seed}"
             )
         dtype = _record_dtype(bits // 8)
+        # The count is untrusted: check it against the file before reading.
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < count * dtype.itemsize:
+            raise FeatureFileError(
+                f"{path}: truncated payload, header claims {count} features "
+                f"but {available} bytes follow"
+            )
         payload = fh.read(count * dtype.itemsize)
-    if len(payload) < count * dtype.itemsize:
-        raise FeatureFileError(f"{path}: truncated payload, expected {count} features")
     records = np.frombuffer(payload, dtype=dtype, count=count)
     for name in ("x", "y", "response"):
         bad = np.flatnonzero(~np.isfinite(records[name]))

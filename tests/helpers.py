@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from loopclose.bits import hamming_matrix
+from loopclose.bits import hamming, hamming_matrix
 from loopclose.hamming_tree import HammingForest, HammingTree, iter_leaves
 from loopclose.imgproc import FeatureSet
 
@@ -33,10 +33,10 @@ def check_forest_invariants(forest: HammingForest, leaf_capacity: int) -> None:
     for tree in forest.trees:
         seen: list[int] = []
         for leaf in iter_leaves(tree.root):
-            assert len(leaf.ids) <= leaf_capacity, (
-                f"leaf holds {len(leaf.ids)} > {leaf_capacity} words"
+            assert len(leaf.rows) <= leaf_capacity, (
+                f"leaf holds {len(leaf.rows)} > {leaf_capacity} words"
             )
-            seen.extend(leaf.ids)
+            seen.extend(forest.store.ids_at(leaf.rows).tolist())
         assert len(seen) == len(set(seen)), "a word id appears in two leaves"
         assert set(seen) == live, "tree membership diverged from the store"
         assert tree.all_ids() == live, "leaf lookup table diverged"
@@ -56,7 +56,8 @@ def _check_internal_nodes(tree: HammingTree, live: set[int]) -> None:
         if node is not tree.root:
             # A recorded centre word, while live, must sit in this subtree.
             if node.centre_word in live:
-                subtree = {i for leaf in iter_leaves(node) for i in leaf.ids}
+                subtree_rows = [r for leaf in iter_leaves(node) for r in leaf.rows]
+                subtree = set(tree.store.ids_at(subtree_rows).tolist())
                 assert node.centre_word in subtree, "centre word escaped its subtree"
 
 
@@ -144,6 +145,29 @@ def segment_test_corners(img: np.ndarray, threshold: int) -> set[tuple[int, int]
 # ---------------------------------------------------------------------------
 # Two-view geometry oracle
 # ---------------------------------------------------------------------------
+
+def greedy_ratio_match(feats_a: FeatureSet, feats_b: FeatureSet, ratio: float = 0.8):
+    """Loop form of ``ratio_match``: per-feature ratio test, then targets
+    granted one claim each, in ascending (distance, feature index) order."""
+    claims = []
+    for i, qa in enumerate(feats_a.descriptors):
+        row = [hamming(qa, qb) for qb in feats_b.descriptors]
+        j = min(range(len(row)), key=row.__getitem__)
+        if len(row) < 2 or row[j] < ratio * sorted(row)[1]:
+            claims.append((row[j], i, j))
+    claimed: set[int] = set()
+    pairs = []
+    for _, i, j in sorted(claims):
+        if j not in claimed:
+            claimed.add(j)
+            pairs.append((i, j))
+    ia = [i for i, _ in pairs]
+    ib = [j for _, j in pairs]
+    return (
+        feats_a.keypoints[ia].astype(np.float64).reshape(-1, 2),
+        feats_b.keypoints[ib].astype(np.float64).reshape(-1, 2),
+    )
+
 
 def skew(t: np.ndarray) -> np.ndarray:
     return np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0]])

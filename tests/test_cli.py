@@ -126,3 +126,41 @@ def test_missing_input_reports_error(tmp_path, capsys):
     )
     assert main(["run", config]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_out_naming_a_file_fails_in_one_line(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    config = write_config(tmp_path / "c.cfg", out=str(out), **SMALL_RUN)
+    assert main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "taken" in err
+
+
+def test_extract_truncated_pgm_names_file(tmp_path, capsys):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    (img_dir / "short.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(7))
+    assert main(["extract", str(img_dir), str(tmp_path / "feats")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "short.pgm" in err and "truncated P5 payload" in err
+
+
+def test_run_unreadable_image_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    import loopclose.evaluation as evaluation
+
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    write_pgm(img_dir / "locked.pgm", np.zeros((32, 32), dtype=np.uint8))
+
+    def deny(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(evaluation, "load_pgm", deny)
+    config = write_config(tmp_path / "c.cfg", mode="images", input=str(img_dir))
+    assert main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: frame 0 (locked.pgm): ")

@@ -13,7 +13,7 @@ from loopclose.geometry import (
 )
 from loopclose.imgproc import FeatureSet
 
-from helpers import random_feature_set, synthetic_two_view
+from helpers import greedy_ratio_match, random_feature_set, synthetic_two_view
 
 
 class TestRatioMatch:
@@ -61,6 +61,22 @@ class TestRatioMatch:
         pa, pb = ratio_match(a, b)
         assert len(pa) == 1
         assert pa[0].tolist() == [1.0, 1.0]  # the distance-0 claim won
+
+    def test_claims_match_loop_reference(self):
+        # Many near-copies of few targets: claims collide and tie on
+        # distance, so the greedy (distance, index) order decides.
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            b = random_feature_set(rng, int(rng.integers(1, 9)))
+            n = int(rng.integers(1, 40))
+            src = b.descriptors[rng.integers(len(b), size=n)]
+            a = random_feature_set(rng, n)
+            a.descriptors = np.concatenate(
+                [flip_random_bits(rng, d[None], int(rng.integers(0, 4))) for d in src]
+            )
+            got = ratio_match(a, b)
+            want = greedy_ratio_match(a, b)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestEightPoint:

@@ -1,8 +1,12 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from loopclose.bits import flip_random_bits, hamming, popcount, random_descriptors
-from loopclose.hamming_tree import HammingForest, build_tree
+from loopclose.hamming_tree import HammingForest
 
 from helpers import check_forest_invariants, linear_nn_distances
 
@@ -24,6 +28,20 @@ def make_forest(descs, seed=0, **kwargs):
     forest = HammingForest(width=descs.shape[1] * 8, seed=seed, **kwargs)
     forest.build({i: descs[i] for i in range(len(descs))})
     return forest
+
+
+def make_tree(words, branching, leaf_capacity, seed):
+    """A standalone tree: the single tree of a one-tree forest."""
+    width = len(next(iter(words.values()))) * 8
+    forest = HammingForest(
+        width=width, branching=branching, leaf_capacity=leaf_capacity, num_trees=1, seed=seed
+    )
+    forest.build(words)
+    return forest.trees[0]
+
+
+def leaf_ids(tree, leaf):
+    return tree.store.ids_at(leaf.rows).tolist()
 
 
 class TestHamming:
@@ -58,7 +76,7 @@ class TestBuild:
     def test_ten_words_small_tree_shape(self):
         rng = np.random.default_rng(11)
         descs = random_descriptors(rng, 10)
-        tree = build_tree({i: descs[i] for i in range(10)}, branching=2, leaf_capacity=3, seed=5)
+        tree = make_tree({i: descs[i] for i in range(10)}, branching=2, leaf_capacity=3, seed=5)
         sizes = tree.leaf_sizes()
         assert all(s <= 3 for s in sizes)
         assert sum(sizes) == 10
@@ -71,22 +89,22 @@ class TestBuild:
     def test_golden_dump(self):
         rng = np.random.default_rng(11)
         descs = random_descriptors(rng, 10)
-        tree = build_tree({i: descs[i] for i in range(10)}, branching=2, leaf_capacity=3, seed=5)
+        tree = make_tree({i: descs[i] for i in range(10)}, branching=2, leaf_capacity=3, seed=5)
         assert tree.dump() == GOLDEN_DUMP
 
     def test_below_leaf_threshold_single_leaf(self):
         rng = np.random.default_rng(2)
         descs = random_descriptors(rng, 2)
-        tree = build_tree({7: descs[0], 9: descs[1]}, branching=2, leaf_capacity=3, seed=0)
+        tree = make_tree({7: descs[0], 9: descs[1]}, branching=2, leaf_capacity=3, seed=0)
         assert tree.root.is_leaf
-        assert sorted(tree.root.ids) == [7, 9]
+        assert sorted(leaf_ids(tree, tree.root)) == [7, 9]
 
     def test_same_seed_identical_trees(self):
         rng = np.random.default_rng(3)
         descs = random_descriptors(rng, 60)
         words = {i: descs[i] for i in range(60)}
-        a = build_tree(words, branching=4, leaf_capacity=5, seed=9)
-        b = build_tree(words, branching=4, leaf_capacity=5, seed=9)
+        a = make_tree(words, branching=4, leaf_capacity=5, seed=9)
+        b = make_tree(words, branching=4, leaf_capacity=5, seed=9)
         assert a.dump() == b.dump()
 
     def test_duplicate_descriptors_still_terminate(self):
@@ -94,7 +112,7 @@ class TestBuild:
         # must still make progress and respect the leaf bound.
         desc = np.full(32, 0xAB, dtype=np.uint8)
         words = {i: desc.copy() for i in range(40)}
-        tree = build_tree(words, branching=4, leaf_capacity=5, seed=1)
+        tree = make_tree(words, branching=4, leaf_capacity=5, seed=1)
         assert all(s <= 5 for s in tree.leaf_sizes())
         assert tree.all_ids() == set(range(40))
 
@@ -140,8 +158,8 @@ class TestSearch:
 
     def test_sparse_word_ids_dedup_sized_by_store_rows(self):
         # Word ids are never reused, so they run far past the live
-        # vocabulary; the walk's cross-tree dedup must be sized by store
-        # rows, which removals free and later inserts reuse.
+        # vocabulary; the walk dedups by store row, which removals free and
+        # later inserts reuse, and must still reach the scan's answer.
         rng = np.random.default_rng(22)
         descs = random_descriptors(rng, 1600)
         ids = [10**6 + 1000 * i for i in range(1600)]
@@ -156,8 +174,63 @@ class TestSearch:
         for q in queries:
             got = forest.knn_search(q, 5, budget=len(forest))
             assert forest._best_bin_first(q, 5, budget=len(forest)) == got
-            assert len(forest._stamp) <= forest.store.capacity
         assert forest.store.capacity < 10**6
+
+    def test_concurrent_searches_match_sequential(self):
+        # Searches write no forest state, so interleaving them on threads
+        # (switching as often as the interpreter allows) changes no answer.
+        rng = np.random.default_rng(0)
+        descs = random_descriptors(rng, 3000)
+        forest = make_forest(descs, seed=0)
+        queries = random_descriptors(rng, 4000)
+        expected = [forest.knn_search(q, 2, budget=200) for q in queries]
+        got = [None] * len(queries)
+
+        def search(start):
+            for i in range(start, len(queries), 4):
+                got[i] = forest.knn_search(queries[i], 2, budget=200)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        differ = sum(g != e for g, e in zip(got, expected))
+        assert differ == 0, f"{differ} of {len(queries)} concurrent searches differ"
+
+    def test_budgeted_walk_answers_pinned(self):
+        # A digest of a churned forest's budget-64 answers pins the heap tie
+        # order and the budget accounting, which comparing two runs of the
+        # same code (test_search_determinism) cannot.
+        rng = np.random.default_rng(24)
+        centres = random_descriptors(rng, 150)
+        descs = np.concatenate(
+            [flip_random_bits(rng, np.tile(c, (16, 1)), 12) for c in centres]
+        )
+        descs = descs[rng.permutation(len(descs))]
+        forest = HammingForest(leaf_capacity=30, branching=8, num_trees=4, seed=24)
+        forest.build({i: descs[i] for i in range(1200)})
+        for i in range(1200, 2400):
+            forest.insert(i, descs[i])
+            if i % 3 == 0:
+                forest.remove(i - 1000)
+            if i % 5 == 0:
+                forest.merge_and(i - 1, descs[i - 700])
+        queries = np.concatenate([
+            flip_random_bits(rng, descs[rng.integers(len(descs), size=1500)], 25),
+            random_descriptors(rng, 500),
+        ])
+        answers = [[tuple(n) for n in forest.knn_search(q, 2)] for q in queries]
+        assert len(forest) == 2000 and forest.budget == 64
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+            "7dd73264b6de7d6a2d152bc58bb507660db1bddfa22582ab4ac8539abc0f4e76"
+        )
 
     def test_stored_word_found_at_distance_zero(self):
         rng = np.random.default_rng(6)
@@ -240,9 +313,9 @@ class TestInsert:
         forest = HammingForest(leaf_capacity=5, num_trees=1, seed=12)
         forest.build({i: descs[i] for i in range(3)})
         tree = forest.trees[0]
-        assert tree.root.is_leaf and len(tree.root.ids) == 3
+        assert tree.root.is_leaf and len(tree.root.rows) == 3
         forest.insert(3, descs[3])  # 3 + 1 < 5: plain append
-        assert tree.root.is_leaf and len(tree.root.ids) == 4
+        assert tree.root.is_leaf and len(tree.root.rows) == 4
 
     def test_overflow_rebuilds_node(self):
         rng = np.random.default_rng(13)
@@ -297,7 +370,7 @@ class TestRemove:
         tree = forest.trees[0]
         before = tree.dump()
         forest.remove(2)
-        assert tree.root.is_leaf and sorted(tree.root.ids) == [0, 1]
+        assert tree.root.is_leaf and sorted(leaf_ids(tree, tree.root)) == [0, 1]
         assert before != tree.dump()  # only the leaf content changed
         assert not tree.root.children
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,23 @@ class TestFeatureFiles:
         path.write_bytes(data[:-5])
         with pytest.raises(FeatureFileError, match="truncated"):
             read_features(path)
+
+    def test_header_count_checked_against_file_size(self, tmp_path):
+        # A header claiming a million features in a ~100-byte file is
+        # refused before anything of the claimed size is allocated.
+        path = tmp_path / "big.feat"
+        write_features(path, self._features(2))
+        data = bytearray(path.read_bytes())
+        data[20:24] = (1_000_000).to_bytes(4, "little")  # the header's count field
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeatureFileError, match=r"big\.feat: truncated payload"):
+                read_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak} bytes"
 
     def test_non_finite_keypoint_rejected(self, tmp_path):
         fs = self._features(10)
