@@ -1,7 +1,7 @@
 """Command line interface.
 
 Verbs:
-  extract <img_dir> <feat_dir>     PGM images -> feature files
+  extract <img_dir> <feat_dir>     .pgm images -> feature files
   run <config>                     full detection run
   sweep <config> --thresholds ..   detection run + precision-recall curve
   synth <plan> <out_dir>           synthetic feature sequence + ground truth
@@ -14,33 +14,23 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .evaluation import compute_pr, run_sequence, summary_lines, sweep_pr, write_run_outputs
-from .imgproc import (
-    DEFAULT_CORNER_THRESHOLD,
-    DEFAULT_PATTERN_SEED,
-    detect_corners,
-    extract_descriptors,
-    load_pgm,
-    write_features,
+from .evaluation import (
+    compute_pr,
+    image_frames,
+    run_sequence,
+    summary_lines,
+    sweep_pr,
+    write_run_outputs,
 )
+from .imgproc import DEFAULT_CORNER_THRESHOLD, DEFAULT_PATTERN_SEED, write_features
 from .synthetic import generate_synthetic, parse_plan
 
 
 def _cmd_extract(args) -> int:
-    img_dir = Path(args.img_dir)
     feat_dir = Path(args.feat_dir)
     feat_dir.mkdir(parents=True, exist_ok=True)
-    paths = sorted((p for p in img_dir.iterdir() if p.is_file()), key=lambda p: p.name)
-    if not paths:
-        print(f"extract: no files in {img_dir}", file=sys.stderr)
-        return 1
-    for path in paths:
-        try:
-            img = load_pgm(path)
-        except ValueError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-        corners = detect_corners(img, args.features, args.threshold)
-        features = extract_descriptors(img, corners, pattern_seed=args.seed, width=args.bits)
+    frames = image_frames(args.img_dir, args.features, args.threshold, args.seed, args.bits)
+    for path, features in frames:
         write_features(feat_dir / (path.stem + ".feat"), features, pattern_seed=args.seed)
         print(f"{path.name}: {len(features)} features")
     return 0

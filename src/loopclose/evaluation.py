@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .vocabulary import UpdateStats
 RESULT_COLUMNS = "frame,status,matched,inliers,path,island_m,island_n,G"
 DIAGNOSTIC_COLUMNS = "frame,vocab_size,temp_count,merged,added,deleted"
 PR_COLUMNS = "threshold,precision,recall,tp,fp,fn"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -164,36 +166,35 @@ def sweep_pr(
 # Sequence running
 # ---------------------------------------------------------------------------
 
-def _iter_image_frames(config: RunConfig) -> Iterator[FeatureSet]:
-    directory = Path(config.input)
+def frame_source(directory, suffix: str, read: Callable[[Path], T]) -> Iterator[tuple[Path, T]]:
+    """Read each ``suffix`` file of ``directory`` in name order, one frame per file.
+
+    Yields ``(path, read(path))``.  ``.pgm`` matches in any letter case,
+    other suffixes exactly.  No matching file raises FileNotFoundError; a
+    file that fails to read re-raises its error naming the frame and file.
+    """
     paths = sorted(
-        (p for p in directory.iterdir() if p.is_file() and p.suffix.lower() == ".pgm"),
+        (p for p in Path(directory).iterdir()
+         if p.is_file() and (p.suffix.lower() if suffix == ".pgm" else p.suffix) == suffix),
         key=lambda p: p.name,
     )
     if not paths:
-        raise FileNotFoundError(f"no .pgm files in {directory}")
+        raise FileNotFoundError(f"no {suffix} files in {directory}")
     for index, path in enumerate(paths):
         try:
-            img = load_pgm(path)
+            frame = read(path)
         except (OSError, ValueError) as exc:
             raise type(exc)(f"frame {index} ({path.name}): {exc}") from exc
-        corners = detect_corners(img, config.features, config.corner_threshold)
-        yield extract_descriptors(
-            img, corners, pattern_seed=config.pattern_seed, width=config.descriptor_bits
-        )
+        yield path, frame
 
 
-def _iter_feature_frames(config: RunConfig) -> Iterator[FeatureSet]:
-    directory = Path(config.input)
-    paths = sorted((p for p in directory.iterdir() if p.is_file() and p.suffix == ".feat"),
-                   key=lambda p: p.name)
-    if not paths:
-        raise FileNotFoundError(f"no .feat files in {directory}")
-    for index, path in enumerate(paths):
-        try:
-            yield read_features(path, expected_bits=config.descriptor_bits)
-        except ValueError as exc:
-            raise type(exc)(f"frame {index}: {exc}") from exc
+def image_frames(
+    directory, features: int, threshold: int, pattern_seed: int, width: int
+) -> Iterator[tuple[Path, FeatureSet]]:
+    """Features of each PGM image of ``directory``, in name order."""
+    for path, img in frame_source(directory, ".pgm", load_pgm):
+        corners = detect_corners(img, features, threshold)
+        yield path, extract_descriptors(img, corners, pattern_seed=pattern_seed, width=width)
 
 
 def run_sequence(config: RunConfig, write: bool = True) -> RunOutput:
@@ -207,18 +208,24 @@ def run_sequence(config: RunConfig, write: bool = True) -> RunOutput:
     """
     gt: dict[int, list[int]] | None = None
     if config.mode == "images":
-        frames: Iterable[FeatureSet] = _iter_image_frames(config)
+        images = image_frames(
+            config.input, config.features, config.corner_threshold,
+            config.pattern_seed, config.descriptor_bits,
+        )
+        frames: Iterable[FeatureSet] = (features for _, features in images)
     elif config.mode == "features":
-        frames = _iter_feature_frames(config)
+        files = frame_source(
+            config.input, ".feat", lambda p: read_features(p, expected_bits=config.descriptor_bits)
+        )
+        frames = (features for _, features in files)
     else:
-        sequence, gt = generate_synthetic(
+        frames, gt = generate_synthetic(
             config.input,
             n_features=config.features,
             noise_bits=config.noise_bits,
             seed=config.seed,
             width=config.descriptor_bits,
         )
-        frames = sequence
     if config.gt:
         gt = load_ground_truth(config.gt)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,38 +94,44 @@ class FeatureSet:
 # PGM reading / writing
 # ---------------------------------------------------------------------------
 
-class _PgmScanner:
-    """Token scanner over raw PGM bytes that tracks the current offset."""
+# Separators are space, tab, CR and LF; a '#' comment runs to the end of
+# its line.  Other bytes (vertical tab, form feed, signs) are not separators.
+_COMMENT = re.compile(rb"#[^\n]*\n?")
+_NUMBER = re.compile(rb"(?:[ \t\r\n]|#[^\n]*\n?)*(\d*)")
+# A P2 body, comments blanked, as digit runs and runs of other non-separators.
+_P2_TOKEN = re.compile(rb"\d+|[^\d \t\r\n]+")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def error(self, message: str) -> PgmFormatError:
-        return PgmFormatError(f"{message} (at byte offset {self.pos})")
+def _pgm_error(message: str, offset: int) -> PgmFormatError:
+    return PgmFormatError(f"{message} (at byte offset {offset})")
 
-    def skip_separators(self) -> None:
-        # whitespace and '#' comments up to end of line
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos]
-            if c in b" \t\r\n":
-                self.pos += 1
-            elif c == ord("#"):
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            else:
-                return
 
-    def read_int(self, what: str) -> int:
-        self.skip_separators()
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected integer for {what}")
-        return int(data[start : self.pos])
+def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Skip separators from ``pos`` and read one decimal number; return it and its end."""
+    m = _NUMBER.match(data, pos)
+    if not m.group(1):
+        raise _pgm_error(f"expected integer for {what}", m.end())
+    return int(m.group(1)), m.end()
+
+
+def _p2_pixels(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The ``count`` values of a P2 body starting at ``pos``; data after them is ignored."""
+    # Each value takes a digit and each value after the first a separator.
+    if len(data) - pos < 2 * count - 1:
+        raise _pgm_error(f"truncated P2 payload, need {count} values", len(data))
+    tokens = _P2_TOKEN.findall(_COMMENT.sub(b" ", data[pos:]))[:count]
+    if len(tokens) == count and b"".join(tokens).isdigit():
+        # Parsing saturates at the int64 maximum, so an overlong value
+        # reads as above maxval; memory stays linear in the file size.
+        values = np.fromstring(b" ".join(tokens), dtype=np.int64, sep=" ")
+        if not (values > maxval).any():
+            return values.astype(np.uint8)
+    # Some value is missing, not a number or above maxval: scan value by
+    # value up to the first such one, to name its byte offset.
+    while True:
+        value, pos = _read_int(data, pos, "pixel value")
+        if value > maxval:
+            raise _pgm_error(f"pixel value {value} exceeds maxval {maxval}", pos)
 
 
 def load_pgm(path) -> np.ndarray:
@@ -132,43 +139,34 @@ def load_pgm(path) -> np.ndarray:
 
     Returns a ``(height, width)`` uint8 array.  The two encodings of the
     same image load identically.  Malformed input raises
-    :class:`PgmFormatError` naming the offending byte offset.
+    :class:`PgmFormatError` naming the offending byte offset; the header's
+    size is checked against the file before anything of that size is made.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    sc = _PgmScanner(data)
     magic = data[:2]
     if magic not in (b"P5", b"P2"):
-        raise sc.error(f"not a PGM file, magic {magic!r}")
-    sc.pos = 2
-    width = sc.read_int("width")
-    height = sc.read_int("height")
-    maxval = sc.read_int("maxval")
+        raise _pgm_error(f"not a PGM file, magic {magic!r}", 0)
+    width, pos = _read_int(data, 2, "width")
+    height, pos = _read_int(data, pos, "height")
+    maxval, pos = _read_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise sc.error(f"bad dimensions {width}x{height}")
+        raise _pgm_error(f"bad dimensions {width}x{height}", pos)
     if maxval > 255:
-        raise sc.error(f"unsupported maxval {maxval}")
+        raise _pgm_error(f"unsupported maxval {maxval}", pos)
     if maxval < 1:
-        raise sc.error(f"bad maxval {maxval}")
+        raise _pgm_error(f"bad maxval {maxval}", pos)
     count = width * height
 
     if magic == b"P5":
-        if sc.pos >= len(data) or data[sc.pos] not in b" \t\r\n":
-            raise sc.error("expected single whitespace before P5 payload")
-        sc.pos += 1
-        payload = data[sc.pos : sc.pos + count]
+        if pos >= len(data) or data[pos] not in b" \t\r\n":
+            raise _pgm_error("expected single whitespace before P5 payload", pos)
+        payload = data[pos + 1 : pos + 1 + count]
         if len(payload) < count:
-            sc.pos = len(data)
-            raise sc.error(f"truncated P5 payload, need {count} bytes")
-        img = np.frombuffer(payload, dtype=np.uint8, count=count)
+            raise _pgm_error(f"truncated P5 payload, need {count} bytes", len(data))
+        img = np.frombuffer(payload, dtype=np.uint8)
     else:
-        values = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            v = sc.read_int("pixel value")
-            if v > maxval:
-                raise sc.error(f"pixel value {v} exceeds maxval {maxval}")
-            values[i] = v
-        img = values
+        img = _p2_pixels(data, pos, count, maxval)
     return img.reshape(height, width).copy()
 
 
@@ -312,7 +310,10 @@ def extract_descriptors(
     is below the one at ``q_i``.  Keypoints within ``BORDER_MARGIN`` pixels
     of any border are silently dropped (the count is logged at debug level).
     The result is deterministic for a given image, keypoints and seed.
+    ``width`` must be a positive multiple of 64; any other raises ValueError.
     """
+    if width < 64 or width % 64:
+        raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
     corners = np.asarray(corners, dtype=np.float32).reshape(-1, 3)
     h, w = img.shape
     x = corners[:, 0]

@@ -164,3 +164,42 @@ def test_run_unreadable_image_fails_in_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: frame 0 (locked.pgm): ")
+
+
+def _image_dir(tmp_path, count=2):
+    rng = np.random.default_rng(4)
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for i in range(count):
+        write_pgm(img_dir / f"f{i}.pgm", rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
+    return img_dir
+
+
+def test_extract_reads_only_pgm_files(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    (img_dir / "README.txt").write_text("hello\n")
+    (img_dir / "F2.PGM").write_bytes((img_dir / "f0.pgm").read_bytes())
+    feat_dir = tmp_path / "feats"
+    assert main(["extract", str(img_dir), str(feat_dir), "--features", "30"]) == 0
+    assert sorted(p.name for p in feat_dir.iterdir()) == ["F2.feat", "f0.feat", "f1.feat"]
+    assert (feat_dir / "F2.feat").read_bytes() == (feat_dir / "f0.feat").read_bytes()
+
+
+def test_empty_image_directory_fails_in_one_line(tmp_path, capsys):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    (img_dir / "README.txt").write_text("hello\n")
+    config = write_config(tmp_path / "c.cfg", mode="images", input=str(img_dir))
+    for argv in (["extract", str(img_dir), str(tmp_path / "feats")], ["run", config]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no .pgm files in {img_dir}\n"
+
+
+def test_extract_rejects_width_not_a_multiple_of_64(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    feat_dir = tmp_path / "feats"
+    assert main(["extract", str(img_dir), str(feat_dir), "--bits", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: descriptor width 100 is not a positive multiple of 64\n"
+    assert not list(feat_dir.glob("*.feat"))

@@ -60,6 +60,110 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="exceeds maxval"):
             load_pgm(path)
 
+    # The messages below, offsets included, were recorded from the
+    # byte-at-a-time scanner the tokenised reader replaced; only the
+    # header-size refusal is new.
+
+    def _load_bytes(self, tmp_path, data):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(data)
+        return load_pgm(path)
+
+    def _error(self, tmp_path, data):
+        with pytest.raises(PgmFormatError) as info:
+            self._load_bytes(tmp_path, data)
+        return str(info.value)
+
+    def test_p2_comments_between_values(self, tmp_path):
+        img = self._load_bytes(tmp_path, b"P2\n# c\n3 2\n255\n1 # between\n2#tight\n3\n# line\n4 5 6\n")
+        assert img.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    def test_p2_tab_and_crlf_separators(self, tmp_path):
+        img = self._load_bytes(tmp_path, b"P2\r\n3\t2\r\n255\r\n1\t2\t3\r\n4\t5\t6\r\n")
+        assert img.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    def test_p2_trailing_data_ignored(self, tmp_path):
+        assert self._load_bytes(tmp_path, b"P2\n2 1\n255\n7 8 9 junk\v#x").tolist() == [[7, 8]]
+        assert self._load_bytes(tmp_path, b"P2\n2 1\n255\n7 8junk").tolist() == [[7, 8]]
+
+    def test_p2_non_digit_token_mid_body(self, tmp_path):
+        assert self._error(tmp_path, b"P2\n3 1\n255\n1 x2 3\n") == (
+            "expected integer for pixel value (at byte offset 13)"
+        )
+        assert self._error(tmp_path, b"P2\n3 1\n255\n1 2x 3\n") == (
+            "expected integer for pixel value (at byte offset 14)"
+        )
+        # a vertical tab is not a separator
+        assert self._error(tmp_path, b"P2\n2 1\n255\n1\v2\n") == (
+            "expected integer for pixel value (at byte offset 12)"
+        )
+
+    def test_p2_value_above_maxval_names_offset(self, tmp_path):
+        assert self._error(tmp_path, b"P2\n3 1\n200\n1 201 3\n") == (
+            "pixel value 201 exceeds maxval 200 (at byte offset 16)"
+        )
+
+    def test_p2_23_digit_value(self, tmp_path):
+        assert self._error(tmp_path, b"P2\n2 1\n255\n1 12345678901234567890123\n") == (
+            "pixel value 12345678901234567890123 exceeds maxval 255 (at byte offset 36)"
+        )
+        long_zeros = b"P2\n2 1\n255\n0000000000000000000000255 007\n"
+        assert self._load_bytes(tmp_path, long_zeros).tolist() == [[255, 7]]
+
+    def test_p2_long_token_memory_linear_in_file_size(self, tmp_path):
+        # One 20001-digit value among 2000: a fixed-width string array of
+        # the tokens would take 2000 x 20001 bytes.
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P2\n2000 1\n255\n" + b"0" * 20000 + b"7" + b" 1" * 1999 + b"\n")
+        tracemalloc.start()
+        try:
+            img = load_pgm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert img[0, 0] == 7 and (img[0, 1:] == 1).all()
+        assert peak < 1_000_000, f"peak {peak} bytes"
+
+    def test_p2_missing_value(self, tmp_path):
+        assert self._error(tmp_path, b"P2\n3 2\n255\n1 2 3 4 5\n") == (
+            "expected integer for pixel value (at byte offset 21)"
+        )
+
+    def test_p2_equals_p5_on_camera_sized_image(self, tmp_path, monkeypatch):
+        import loopclose.imgproc as imgproc
+
+        rng = np.random.default_rng(11)
+        img = rng.integers(0, 256, size=(480, 640), dtype=np.uint8)
+        p5 = tmp_path / "a.pgm"
+        write_pgm(p5, img)
+        p2 = tmp_path / "b.pgm"
+        rows = "\n".join(" ".join(map(str, row)) for row in img)
+        p2.write_text(f"P2\n640 480\n255\n{rows}\n")
+        # A file that loads reads its values in one pass: only the three
+        # header numbers go through the value-by-value reader.
+        calls = []
+        read_int = imgproc._read_int
+        monkeypatch.setattr(imgproc, "_read_int", lambda *a: calls.append(a) or read_int(*a))
+        assert np.array_equal(load_pgm(p2), img)
+        assert len(calls) == 3
+        assert np.array_equal(load_pgm(p5), img)
+
+    def test_header_size_checked_against_file(self, tmp_path):
+        # 4000x4000 values cannot fit in the 4 bytes that follow the
+        # header; the reader refuses before allocating anything that size.
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P2\n4000 4000\n255\n1 2\n")
+        assert len(path.read_bytes()) == 21
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmFormatError) as info:
+                load_pgm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak} bytes"
+        assert str(info.value) == "truncated P2 payload, need 16000000 values (at byte offset 21)"
+
     def test_roundtrip_random_images(self, tmp_path):
         rng = np.random.default_rng(0)
         for i in range(5):
@@ -168,6 +272,14 @@ class TestExtractDescriptors:
         kps = np.array([[48.0, 48.0, 1.0]], dtype=np.float32)
         fs = extract_descriptors(img, kps, width=256)
         assert fs.descriptors.shape == (1, 32)
+
+    def test_width_not_a_multiple_of_64_rejected(self):
+        img = self._image()
+        kps = np.array([[48.0, 48.0, 1.0]], dtype=np.float32)
+        for width in (0, 100, -64):
+            with pytest.raises(ValueError, match=f"descriptor width {width} is not a positive multiple of 64"):
+                extract_descriptors(img, kps, width=width)
+        assert extract_descriptors(img, kps, width=128).width_bits == 128
 
 
 class TestFeatureFiles:
