@@ -29,22 +29,32 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def hamming_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
+def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs Hamming distances between two descriptor matrices.
 
-    Works on 64-bit views and in row chunks of ``a`` to bound the size of
-    the XOR temporary.  Returns an ``(len(a), len(b))`` int32 matrix.
+    Returns an ``(len(a), len(b))`` int32 matrix.
     """
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"descriptor width mismatch: {width_of(a)} vs {width_of(b)} bits")
-    a64 = np.ascontiguousarray(a).view(np.uint64)
-    b64 = np.ascontiguousarray(b).view(np.uint64)
-    out = np.empty((len(a), len(b)), dtype=np.int32)
-    for i in range(0, len(a), chunk):
-        block = a64[i : i + chunk]
-        out[i : i + chunk] = np.bitwise_count(block[:, None, :] ^ b64[None, :, :]).sum(
-            axis=2, dtype=np.int32
-        )
+    return plane_distances(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+def plane_distances(q64: np.ndarray, table64: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Hamming distances from ``(m, words)`` queries to rows of a ``(n, words)`` table.
+
+    Both are ``uint64`` views.  With ``rows`` omitted every query is
+    compared with every table row, an ``(m, n)`` result; a 1-D ``rows``
+    selects the table rows compared with every query, and an ``(m, r)``
+    ``rows`` gives each query its own ``r`` table rows.  Popcounts of 2-D
+    XORs are summed one 64-bit word plane at a time, so no
+    ``(m, n, words)`` temporary is built.  Returns int32.
+    """
+    out = np.zeros((len(q64), len(table64) if rows is None else rows.shape[-1]), dtype=np.int32)
+    for w in range(q64.shape[1]):
+        plane = table64[:, w] if rows is None else table64[:, w][rows]
+        out += np.bitwise_count(plane ^ q64[:, w, None])
     return out
 
 

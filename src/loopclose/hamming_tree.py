@@ -11,14 +11,21 @@ collects the store rows of the leaves it reaches in a set of its own, then
 makes one Hamming distance pass over that set.  Leaves record store rows
 only; word ids are read from the store's row -> id array where needed.
 
+A frame's descriptors are searched together by
+:meth:`HammingForest.knn_search_batch`: every tree is descended once by
+all of them, grouped by child at each node.  A query whose reached leaves
+already hold ``budget`` distinct words would pop nothing from the queue,
+so it is answered from those leaves, scored in fixed chunks of queries;
+any other query takes the per-query walk.  Both give the same answers.
+
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and an
 internal node whose recorded centre word is deleted reselects a new centre
 from its remaining subtree).
 
-Concurrency contract: searches write no forest state and may run
-concurrently; the one write a search makes is the idempotent fill of a
-node's cached centre matrix.  Any mutation (insert, remove, descriptor
+Concurrency contract: searches, per-query and batched, write no forest
+state and may run concurrently; the one write either makes is the
+idempotent fill of a node's cached centre matrix.  Any mutation (insert, remove, descriptor
 merge) requires exclusive access to the forest.  Enforcement is up to the
 embedder.
 """
@@ -26,12 +33,13 @@ embedder.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from itertools import count as _counter
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bits import hamming, hamming_matrix
+from .bits import hamming, hamming_matrix, plane_distances
 
 __all__ = [
     "Neighbor",
@@ -40,6 +48,7 @@ __all__ = [
     "HammingForest",
     "DescriptorStore",
     "hamming",
+    "NO_DISTANCE",
 ]
 
 
@@ -49,6 +58,10 @@ class Neighbor(NamedTuple):
 
 
 _MASKED = 1 << 30  # sentinel distance for the already-descended child
+
+NO_DISTANCE = np.iinfo(np.int32).max  # distance padding of batch answers with fewer than k words
+_NO_KEY = np.iinfo(np.int64).max  # packed key of padding and duplicate rows
+_CHUNK = 32  # queries scored together; bounds the scoring temporaries to about 1 MB
 
 
 class _SiblingCursor:
@@ -153,6 +166,42 @@ class DescriptorStore:
         q64 = np.ascontiguousarray(q).view(np.uint64)
         return np.bitwise_count(self._data64[rows] ^ q64).sum(axis=1, dtype=np.int32)
 
+    @property
+    def id_bits(self) -> int:
+        """Bits left for the word id in an int64 key ``distance << id_bits | id``."""
+        return 63 - (self.nbytes * 8).bit_length()
+
+    def ids_fit_keys(self) -> bool:
+        """Whether every stored word id fits the id field of a packed key."""
+        return int(self._word_of.max()) < 1 << self.id_bits
+
+    def live_rows(self) -> np.ndarray:
+        return np.flatnonzero(self._word_of >= 0)
+
+    def top_k(self, q64: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest words to each of ``(m, words)`` queries, in (distance, id) order.
+
+        ``rows`` is 1-D (the rows compared with every query) or ``(m, r)``
+        (each query's own rows, -1 marking none); a query must list a row
+        at most once, and every id must fit a packed key
+        (:meth:`ids_fit_keys`).  Returns ``(ids, dists)``, both ``(m, k)``,
+        padded with -1 and ``NO_DISTANCE`` past the rows a query has.
+        """
+        id_bits = self.id_bits
+        keys = plane_distances(q64, self._data64, rows).astype(np.int64) << id_bits
+        keys |= self._word_of[rows]
+        if rows.ndim == 2:
+            keys[rows < 0] = _NO_KEY
+        if keys.shape[1] > k:
+            keys = np.partition(keys, k - 1, axis=1)[:, :k]
+        keys.sort(axis=1)
+        found = keys != _NO_KEY
+        ids = np.full((len(keys), k), -1, dtype=np.int64)
+        dists = np.full((len(keys), k), NO_DISTANCE, dtype=np.int32)
+        ids[:, : keys.shape[1]] = np.where(found, keys & ((1 << id_bits) - 1), -1)
+        dists[:, : keys.shape[1]] = np.where(found, keys >> id_bits, NO_DISTANCE)
+        return ids, dists
+
     def gather(self, rows: np.ndarray) -> np.ndarray:
         return self._data[rows]
 
@@ -168,7 +217,7 @@ class DescriptorStore:
     def scan(self, q: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Word ids and distances to ``q`` of the words at ``rows`` (default: every live word)."""
         if rows is None:
-            rows = np.flatnonzero(self._word_of >= 0)
+            rows = self.live_rows()
         return self._word_of[rows], self.distances(q, rows)
 
 
@@ -204,11 +253,17 @@ class TreeNode:
         return self.children is None
 
     def child_distances(self, q64: np.ndarray) -> np.ndarray:
-        """Hamming distance from a query (``uint64`` view) to each child's centre."""
-        # The centres are cached as a uint64 matrix for fast XOR/popcount.
+        """Hamming distances from ``(m, words)`` queries (``uint64`` views) to each
+        child's centre: an ``(m, children)`` matrix."""
+        # The centres are cached word-major, a (words, children) uint64
+        # matrix, so the popcounts of one (words, m, children) XOR are
+        # summed over its leading axis: as few numpy calls as one query
+        # needs, and contiguous adds for a frame's worth of queries.
         if self._centre_mat is None:
-            self._centre_mat = np.stack([c.centre for c in self.children]).view(np.uint64)
-        return np.bitwise_count(self._centre_mat ^ q64).sum(axis=1, dtype=np.int32)
+            self._centre_mat = np.stack([c.centre for c in self.children]).view(np.uint64).T.copy()
+        return np.bitwise_count(q64.T[:, :, None] ^ self._centre_mat[:, None, :]).sum(
+            axis=0, dtype=np.int32
+        )
 
     def invalidate(self) -> None:
         self._centre_mat = None
@@ -262,7 +317,7 @@ class HammingTree:
         centre_pos = np.sort(self.rng.choice(len(rows), size=k, replace=False))
         descs = self.store.gather(rows)
         centres = descs[centre_pos]
-        assign = np.argmin(hamming_matrix(descs, centres, chunk=2048), axis=1)
+        assign = np.argmin(hamming_matrix(descs, centres), axis=1)
         if len(np.unique(assign)) < 2:
             # Degenerate split (duplicate descriptors): force progress.
             assign = np.arange(len(rows)) % k
@@ -281,10 +336,10 @@ class HammingTree:
     # -- online updates -----------------------------------------------
 
     def descend_nearest(self, q: np.ndarray) -> TreeNode:
-        q64 = np.ascontiguousarray(q).view(np.uint64)
+        q64 = np.ascontiguousarray(q).view(np.uint64)[None]
         node = self.root
-        while not node.is_leaf:
-            node = node.children[int(np.argmin(node.child_distances(q64)))]
+        while node.children is not None:
+            node = node.children[int(node.child_distances(q64)[0].argmin())]
         return node
 
     def insert(self, word_id: int) -> None:
@@ -297,7 +352,7 @@ class HammingTree:
         if word_id in self._leaf_of:
             raise ValueError(f"word {word_id} already in tree")
         row = self.store.row(word_id)
-        leaf = self.descend_nearest(self.store.get(word_id))
+        leaf = self.descend_nearest(self.store.gather(row))
         if len(leaf.rows) + 1 < self.leaf_capacity:
             leaf.rows.append(row)
             self._leaf_of[word_id] = leaf
@@ -455,14 +510,14 @@ class HammingForest:
 
     def _best_bin_first(self, q: np.ndarray, k: int, budget: int) -> list[Neighbor]:
         """The tree walk of :meth:`knn_search`, for a validated query."""
-        q64 = np.ascontiguousarray(q).view(np.uint64)
+        q64 = np.ascontiguousarray(q).view(np.uint64)[None]
         heap: list = []
         tick = _counter()
         seen: set[int] = set()  # store rows examined, across trees
 
         def descend(node: TreeNode) -> None:
             while node.children is not None:
-                d = node.child_distances(q64)
+                d = node.child_distances(q64)[0]
                 best = int(d.argmin())
                 children = node.children
                 if len(children) > 1:
@@ -480,6 +535,103 @@ class HammingForest:
 
         rows = np.fromiter(seen, dtype=np.int64, count=len(seen))
         return _nearest(*self.store.scan(q, rows), k)
+
+    def knn_search_batch(
+        self, queries: np.ndarray, k: int, budget: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`knn_search` for every row of ``queries`` at once.
+
+        Returns ``(ids, dists)``, both ``(len(queries), k)``: row ``i``
+        holds the answer of ``knn_search(queries[i], k, budget)`` in
+        order, padded with id -1 and distance ``NO_DISTANCE`` past the
+        words found.
+
+        Each tree is descended by all queries together, grouped by their
+        nearest child at every node.  A query whose reached leaves hold at
+        least ``budget`` distinct words is answered from them: the walk
+        would pop no queued sibling and examine exactly those words.  The
+        other queries take the walk of :meth:`knn_search` one by one.  A
+        budget covering the live vocabulary scores every live word, as
+        :meth:`knn_search` does.
+        """
+        queries = np.asarray(queries, dtype=np.uint8)
+        if queries.ndim != 2 or queries.shape[1] != self.store.nbytes:
+            raise ValueError(
+                f"descriptor width mismatch: queries {queries.shape[-1] * 8} bits, forest {self.width}"
+            )
+        k = max(k, 0)
+        n = len(queries)
+        ids = np.full((n, k), -1, dtype=np.int64)
+        dists = np.full((n, k), NO_DISTANCE, dtype=np.int32)
+        if len(self.store) == 0 or k == 0 or n == 0:
+            return ids, dists
+        if budget is None:
+            budget = self.budget
+        q64 = np.ascontiguousarray(queries).view(np.uint64)
+        answered = np.zeros(n, dtype=bool)
+        if self.store.ids_fit_keys():
+            full = budget >= len(self.store)
+            if full:
+                live = self.store.live_rows()
+            else:
+                leaf_rows, reached = self._reached_leaves(q64)
+            for s in range(0, n, _CHUNK):
+                e = min(s + _CHUNK, n)
+                if full:
+                    rows, idx = live, np.arange(s, e)
+                else:
+                    # The union of each query's leaves, every store row once.
+                    rows = leaf_rows[reached[s:e]].reshape(e - s, -1)
+                    rows.sort(axis=1)
+                    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+                    ok = (rows >= 0).sum(axis=1) >= budget
+                    rows, idx = rows[ok], s + np.flatnonzero(ok)
+                ids[idx], dists[idx] = self.store.top_k(q64[idx], rows, k)
+                answered[idx] = True
+        for i in np.flatnonzero(~answered).tolist():
+            found = self.knn_search(queries[i], k, budget)
+            ids[i, : len(found)] = [nb.word_id for nb in found]
+            dists[i, : len(found)] = [nb.distance for nb in found]
+        return ids, dists
+
+    def _reached_leaves(self, q64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The leaf each ``(n, words)`` query reaches in each tree.
+
+        Returns ``(leaf_rows, reached)``: a table of the reached leaves'
+        store rows, one leaf per line padded with -1, and the ``(n,
+        trees)`` line of each query's leaf in each tree.  At every node a
+        query takes the first child of least centre distance, as
+        :meth:`_best_bin_first` does.
+        """
+        leaves: list[list[int]] = []
+        reached = np.empty((len(q64), len(self.trees)), dtype=np.int64)
+        for t, tree in enumerate(self.trees):
+            stack = [(tree.root, np.arange(len(q64)))]
+            while stack:
+                node, idx = stack.pop()
+                if node.children is None:  # a root leaf; other leaves are listed by their parent
+                    reached[idx, t] = len(leaves)
+                    leaves.append(node.rows)
+                    continue
+                best = node.child_distances(q64[idx]).argmin(axis=1)
+                lines = []  # table line of each leaf child, -1 for an internal one
+                for c, child in enumerate(node.children):
+                    if child.children is None:
+                        lines.append(len(leaves))
+                        leaves.append(child.rows)
+                    else:
+                        lines.append(-1)
+                        group = idx[best == c]
+                        if len(group):
+                            stack.append((child, group))
+                # Queries sent to an internal child are written again below it.
+                reached[idx, t] = np.array(lines)[best]
+        sizes = np.fromiter(map(len, leaves), dtype=np.int64, count=len(leaves))
+        leaf_rows = np.full((len(leaves), int(sizes.max())), -1, dtype=np.int64)
+        leaf_rows[np.arange(leaf_rows.shape[1]) < sizes[:, None]] = np.fromiter(
+            chain.from_iterable(leaves), dtype=np.int64, count=int(sizes.sum())
+        )
+        return leaf_rows, reached
 
 
 def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> list[Neighbor]:

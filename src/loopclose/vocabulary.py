@@ -153,31 +153,22 @@ class Vocabulary:
         Returns ``(matches, unmatched)`` where matches are
         ``(feature_index, word_id)`` pairs.  With a single candidate in the
         vocabulary the ratio test is undefined and a fixed accept radius
-        (a quarter of the descriptor width) is used instead.
+        (a quarter of the descriptor width) is used instead.  The two
+        nearest words of every feature come from one batched forest
+        search, which answers as a per-feature ``knn_search`` would.
         """
         if not self.words:
             raise ValueError("vocabulary is empty")
-        radius = self.width // 4
-        matches: list[tuple[int, int]] = []
-        unmatched: list[int] = []
-        descs = features.descriptors
-        for i in range(len(features)):
-            found = self.forest.knn_search(descs[i], 2)
-            if len(found) >= 2:
-                d1 = found[0].distance
-                d2 = found[1].distance
-                if d1 < self.params.ratio * d2:
-                    matches.append((i, found[0].word_id))
-                else:
-                    unmatched.append(i)
-            elif len(found) == 1:
-                if found[0].distance <= radius:
-                    matches.append((i, found[0].word_id))
-                else:
-                    unmatched.append(i)
-            else:
-                unmatched.append(i)
-        return matches, unmatched
+        ids, dists = self.forest.knn_search_batch(features.descriptors, 2)
+        found = (ids >= 0).sum(axis=1)
+        accept = np.where(
+            found >= 2,
+            dists[:, 0] < self.params.ratio * dists[:, 1],
+            (found == 1) & (dists[:, 0] <= self.width // 4),
+        )
+        matched = np.flatnonzero(accept)
+        matches = list(zip(matched.tolist(), ids[matched, 0].tolist()))
+        return matches, np.flatnonzero(~accept).tolist()
 
     def merge_word(self, word_id: int, q: np.ndarray) -> np.ndarray:
         """Fold a query descriptor into a word with bitwise AND.

@@ -23,6 +23,30 @@ def linear_nn_distances(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     return hamming_matrix(queries, corpus).min(axis=1)
 
 
+def assign_words_loop(vocab, features: FeatureSet):
+    """Loop form of ``Vocabulary.assign_words``: one ``knn_search`` per
+    feature, then the ratio test (or, with a single word found, the
+    quarter-width accept radius) on its two nearest words."""
+    radius = vocab.width // 4
+    matches, unmatched = [], []
+    for i, q in enumerate(features.descriptors):
+        found = vocab.forest.knn_search(q, 2)
+        if len(found) >= 2:
+            accept = found[0].distance < vocab.params.ratio * found[1].distance
+        else:
+            accept = len(found) == 1 and found[0].distance <= radius
+        if accept:
+            matches.append((i, found[0].word_id))
+        else:
+            unmatched.append(i)
+    return matches, unmatched
+
+
+def initial_leaf_rows(forest: HammingForest, q: np.ndarray) -> set[int]:
+    """Store rows of the leaves one query reaches by plain descent, over all trees."""
+    return {r for tree in forest.trees for r in tree.descend_nearest(q).rows}
+
+
 # ---------------------------------------------------------------------------
 # Forest invariants
 # ---------------------------------------------------------------------------

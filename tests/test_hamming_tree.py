@@ -5,10 +5,17 @@ import threading
 import numpy as np
 import pytest
 
-from loopclose.bits import flip_random_bits, hamming, popcount, random_descriptors
-from loopclose.hamming_tree import HammingForest
+from loopclose.bits import (
+    flip_random_bits,
+    hamming,
+    hamming_matrix,
+    plane_distances,
+    popcount,
+    random_descriptors,
+)
+from loopclose.hamming_tree import NO_DISTANCE, HammingForest
 
-from helpers import check_forest_invariants, linear_nn_distances
+from helpers import check_forest_invariants, initial_leaf_rows, linear_nn_distances
 
 GOLDEN_DUMP = """\
 node root
@@ -70,6 +77,36 @@ class TestHamming:
         a, b, c = random_descriptors(rng, 3)
         assert hamming(a, b) == hamming(b, a)
         assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
+
+    @pytest.mark.parametrize("width", [64, 256, 512])
+    def test_matrix_and_row_distances_equal_pairwise(self, width):
+        rng = np.random.default_rng(width)
+        a = random_descriptors(rng, 23, width)
+        b = random_descriptors(rng, 17, width)
+        b[3] = ~a[5]  # distance equal to the width
+        pairwise = np.array([[hamming(x, y) for y in b] for x in a])
+        got = hamming_matrix(a, b)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, pairwise)
+        a64, b64 = a.view(np.uint64), b.view(np.uint64)
+        picks = rng.integers(len(b), size=(len(a), 9))
+        np.testing.assert_array_equal(
+            plane_distances(a64, b64, picks), np.take_along_axis(pairwise, picks, axis=1)
+        )
+        np.testing.assert_array_equal(plane_distances(a64, b64, picks[0]), pairwise[:, picks[0]])
+
+    def test_child_distances_batch_equals_rows(self):
+        rng = np.random.default_rng(2)
+        forest = make_forest(random_descriptors(rng, 400), seed=2, branching=6, leaf_capacity=20)
+        node = forest.trees[0].root
+        q64 = random_descriptors(rng, 30).view(np.uint64)
+        batch = node.child_distances(q64)
+        assert batch.shape == (30, len(node.children))
+        for i in range(30):
+            np.testing.assert_array_equal(node.child_distances(q64[i : i + 1])[0], batch[i])
+            assert batch[i].tolist() == [
+                hamming(q64[i].view(np.uint8), child.centre) for child in node.children
+            ]
 
 
 class TestBuild:
@@ -304,6 +341,154 @@ class TestSearch:
             forest = make_forest(descs, seed=10)
             runs.append([forest.knn_search(q, 3) for q in queries])
         assert runs[0] == runs[1]
+
+
+def churned_forest(kind, num_trees, seed):
+    """A forest after inserts, removals and in-place merges, and queries for it.
+
+    The descriptors are clustered or uniform, with exact duplicates, and a
+    fifth of the queries are stored descriptors, so distance ties occur.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "clustered":
+        centres = random_descriptors(rng, 60)
+        descs = np.concatenate([flip_random_bits(rng, np.tile(c, (20, 1)), 12) for c in centres])
+    else:
+        descs = random_descriptors(rng, 1200)
+    descs[rng.integers(1200, size=150)] = descs[rng.integers(1200, size=150)]
+    descs = descs[rng.permutation(len(descs))]
+    forest = HammingForest(leaf_capacity=40, branching=6, num_trees=num_trees, budget=64, seed=seed)
+    forest.build({i: descs[i] for i in range(500)})
+    for i in range(500, 1200):
+        forest.insert(i, descs[i])
+        if i % 3 == 0:
+            forest.remove(i - 400)
+        if i % 7 == 0:
+            forest.merge_and(i - 1, descs[i - 300])
+    queries = np.concatenate([
+        flip_random_bits(rng, descs[rng.integers(len(descs), size=150)], 20),
+        descs[rng.integers(len(descs), size=50)],
+        random_descriptors(rng, 50),
+    ])
+    return forest, queries
+
+
+def per_query_answers(forest, queries, k, budget):
+    """``knn_search`` of each query, laid out as ``knn_search_batch`` returns it."""
+    ids = np.full((len(queries), k), -1, dtype=np.int64)
+    dists = np.full((len(queries), k), NO_DISTANCE, dtype=np.int32)
+    for i, q in enumerate(queries):
+        found = forest.knn_search(q, k, budget)
+        ids[i, : len(found)] = [n.word_id for n in found]
+        dists[i, : len(found)] = [n.distance for n in found]
+    return ids, dists
+
+
+def count_walks(forest):
+    """Record every per-query search made through ``forest.knn_search``."""
+    calls = []
+    search = forest.knn_search
+    forest.knn_search = lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs)
+    return calls
+
+
+class TestBatchSearch:
+    @pytest.mark.parametrize("kind", ["clustered", "uniform"])
+    @pytest.mark.parametrize("num_trees", [1, 4])
+    def test_batch_equals_per_query_search(self, kind, num_trees):
+        forest, queries = churned_forest(kind, num_trees, seed=30 + num_trees)
+        for budget in (1, 16, 64, len(forest)):
+            for k in (1, 2, 5):
+                ids, dists = forest.knn_search_batch(queries, k, budget)
+                exp_ids, exp_dists = per_query_answers(forest, queries, k, budget)
+                np.testing.assert_array_equal(ids, exp_ids, err_msg=f"budget {budget}, k {k}")
+                np.testing.assert_array_equal(dists, exp_dists, err_msg=f"budget {budget}, k {k}")
+        # Duplicates and stored-word queries do produce tied distances.
+        ids, dists = forest.knn_search_batch(queries, 5, 64)
+        assert (dists[:, 1:] == dists[:, :-1]).any()
+
+    def test_walk_taken_exactly_when_leaves_hold_fewer_than_budget(self):
+        # A query is answered from its reached leaves only when they hold
+        # at least `budget` distinct words; every other query walks.
+        forest, queries = churned_forest("clustered", 4, seed=34)
+        short = [i for i, q in enumerate(queries) if len(initial_leaf_rows(forest, q)) < 64]
+        assert 0 < len(short) < len(queries)
+        walks = count_walks(forest)
+        forest.knn_search_batch(queries, 2, 64)
+        assert np.array_equal(np.stack([args[0] for args in walks]), queries[short])
+        walks.clear()
+        forest.knn_search_batch(queries, 2, len(forest))
+        assert walks == []
+
+    def test_fewer_words_than_k_padded(self):
+        rng = np.random.default_rng(35)
+        forest = make_forest(random_descriptors(rng, 3), seed=35)
+        queries = random_descriptors(rng, 4)
+        for budget in (1, 3):
+            ids, dists = forest.knn_search_batch(queries, 5, budget)
+            exp_ids, exp_dists = per_query_answers(forest, queries, 5, budget)
+            np.testing.assert_array_equal(ids, exp_ids)
+            np.testing.assert_array_equal(dists, exp_dists)
+            assert (ids[:, 3:] == -1).all() and (dists[:, 3:] == NO_DISTANCE).all()
+            assert (ids[:, :3] >= 0).all()
+        ids, dists = HammingForest(seed=0).knn_search_batch(queries, 2)
+        assert ids.shape == (4, 2) and (ids == -1).all() and (dists == NO_DISTANCE).all()
+        ids, dists = forest.knn_search_batch(queries[:0], 2)
+        assert ids.shape == dists.shape == (0, 2)
+
+    def test_ids_beyond_the_key_field_take_the_walk(self):
+        # A word id too wide to pack beside a distance in one int64 key
+        # sends every query through the per-query search.
+        rng = np.random.default_rng(36)
+        descs = random_descriptors(rng, 300)
+        base = 1 << 60
+        forest = HammingForest(leaf_capacity=40, branching=4, num_trees=2, seed=36)
+        forest.build({base + i: descs[i] for i in range(300)})
+        queries = flip_random_bits(rng, descs[:40], 10)
+        for budget in (64, 300):
+            ids, dists = forest.knn_search_batch(queries, 2, budget)
+            exp_ids, exp_dists = per_query_answers(forest, queries, 2, budget)
+            np.testing.assert_array_equal(ids, exp_ids)
+            np.testing.assert_array_equal(dists, exp_dists)
+        assert ids.min() >= base
+
+    def test_width_mismatch(self):
+        forest = make_forest(random_descriptors(np.random.default_rng(37), 10), seed=37)
+        with pytest.raises(ValueError, match="width"):
+            forest.knn_search_batch(np.zeros((3, 16), dtype=np.uint8), 2)
+
+    def test_concurrent_batches_match_sequential(self):
+        # A batch writes nothing but node centre caches, so batches on
+        # threads over a forest whose caches start empty give the answers
+        # of an identically built forest searched sequentially.
+        rng = np.random.default_rng(0)
+        descs = random_descriptors(rng, 3000)
+        batches = np.split(random_descriptors(rng, 4000), 16)
+        reference = make_forest(descs, seed=0)
+        expected = [reference.knn_search_batch(b, 2, budget=200) for b in batches]
+        forest = make_forest(descs, seed=0)
+        got = [None] * len(batches)
+
+        def search(start):
+            for i in range(start, len(batches), 4):
+                got[i] = forest.knn_search_batch(batches[i], 2, budget=200)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        differ = sum(
+            not (np.array_equal(g[0], e[0]) and np.array_equal(g[1], e[1]))
+            for g, e in zip(got, expected)
+        )
+        assert differ == 0, f"{differ} of {len(batches)} concurrent batches differ"
 
 
 class TestInsert:

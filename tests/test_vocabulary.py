@@ -3,9 +3,15 @@ import pytest
 
 from loopclose.bits import flip_random_bits, popcount, random_descriptors
 from loopclose.imgproc import FeatureSet
+from loopclose.synthetic import generate_synthetic
 from loopclose.vocabulary import VocabParams, Vocabulary
 
-from helpers import brute_force_scores, check_forest_invariants, random_feature_set
+from helpers import (
+    assign_words_loop,
+    brute_force_scores,
+    check_forest_invariants,
+    random_feature_set,
+)
 
 SMALL = VocabParams(branching=4, leaf_capacity=10, num_trees=2, budget=32, seed=0)
 
@@ -96,6 +102,31 @@ class TestAssignWords:
         assert matches == [(0, 0)]
         matches, unmatched = vocab.assign_words(feature_set([far]))
         assert matches == [] and unmatched == [0]
+
+
+class TestBatchedAssignment:
+    def test_equals_per_query_loop_over_churned_stream(self):
+        # Every frame of a 200-frame stream with merges, temporaries and
+        # purges is assigned as the per-query loop assigns it, through both
+        # the batch answer and the per-query walk.
+        frames, _ = generate_synthetic("new:120,revisit:0:80", n_features=120, seed=31)
+        params = VocabParams(branching=8, leaf_capacity=40, num_trees=4, budget=64, seed=4)
+        vocab = Vocabulary(frames[0], params)
+        search = vocab.forest.knn_search
+        walks = []
+        vocab.forest.knn_search = lambda *args, **kwargs: walks.append(1) or search(*args, **kwargs)
+        walked = features = deleted = merged = 0
+        for frame, fs in enumerate(frames[1:], start=1):
+            before = len(walks)
+            got = vocab.assign_words(fs)
+            walked += len(walks) - before
+            features += len(fs)
+            assert got == assign_words_loop(vocab, fs), f"frame {frame}"
+            vocab.process_image(fs, frame, frame)
+            deleted += vocab.last_stats.deleted
+            merged += vocab.last_stats.merged
+        assert 0 < walked < features
+        assert deleted > 0 and merged > 0
 
 
 class TestMerge:
