@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0 <= self.corner_threshold <= 255:
+            raise ConfigError(f"corner_threshold must be in 0..255, got {self.corner_threshold}")
         if self.gt_tolerance is None:
             self.gt_tolerance = self.island_halfwidth
 

@@ -185,6 +185,33 @@ def write_pgm(path, img: np.ndarray) -> None:
 # Corner detection (segment test on a radius-3 ring + 3x3 NMS)
 # ---------------------------------------------------------------------------
 
+def _check_image(img) -> np.ndarray:
+    """The image as an array, or ValueError naming its shape and dtype."""
+    img = np.asarray(img)
+    if img.ndim != 2 or img.dtype != np.uint8:
+        raise ValueError(
+            f"image must be a 2-d uint8 array, got shape {img.shape} dtype {img.dtype}"
+        )
+    return img
+
+
+@lru_cache(maxsize=1)
+def _arc_table() -> np.ndarray:
+    """For every 16-bit ring code, whether it holds ``_ARC_LENGTH`` contiguous set bits.
+
+    Bit ``i`` stands for ring position ``i`` and the ring wraps around.
+    Built on first use, so importing the package costs nothing.
+    """
+    codes = np.arange(1 << 16, dtype=np.uint32)
+    wrapped = codes | (codes << 16)
+    arc = (1 << _ARC_LENGTH) - 1
+    table = np.zeros(1 << 16, dtype=bool)
+    for shift in range(16):
+        table |= ((wrapped >> shift) & arc) == arc
+    table.setflags(write=False)
+    return table
+
+
 def detect_corners(
     img: np.ndarray,
     target: int,
@@ -198,67 +225,96 @@ def detect_corners(
     of intensity excesses over the qualifying direction; 3x3
     non-maximum suppression keeps only local maxima.
 
+    ``img`` must be a 2-d uint8 array and ``threshold`` an integer in
+    0..255; anything else raises ValueError.
+
     Returns an ``(n, 3)`` float32 array with columns x, y, response,
     sorted by descending response (ties broken by row then column).
     Images smaller than 16x16 yield an empty result.
     """
-    img = np.asarray(img)
+    img = _check_image(img)
+    if not isinstance(threshold, (int, np.integer)) or not 0 <= threshold <= 255:
+        raise ValueError(f"corner threshold {threshold!r} is not an integer in 0..255")
     h, w = img.shape
     if h < 16 or w < 16 or target <= 0:
         return np.empty((0, 3), dtype=np.float32)
+    img = np.ascontiguousarray(img)
+    t = int(threshold)
 
-    centre = img[3 : h - 3, 3 : w - 3].astype(np.int16)
-    lo = centre - threshold
-    hi = centre + threshold
+    # Pack each pixel's ring into a bright and a dark 16-bit code.  For
+    # uint8 pixels, ring > min(c + t, 255) exactly when ring > c + t, and
+    # ring < max(c - t, 0) exactly when ring < c - t.  Pixels are read from
+    # the flat image: ``bright[j]`` and ``dark[j]`` belong to pixel
+    # ``start + j``, and the rings of pixels within 3 columns of a side
+    # border wrap around rows, so those pixels are dropped below.
+    pixels = img.ravel()
+    start = 3 * w + 3
+    n = (h - 6) * w - 6
+    offsets = _RING[:, 1] * w + _RING[:, 0]
+    centre = pixels[start : start + n]
+    hi = centre + np.minimum(255 - centre, t)
+    lo = centre - np.minimum(centre, t)
+    bright = np.zeros(n, dtype=np.uint16)
+    dark = np.zeros(n, dtype=np.uint16)
+    hit = np.empty(n, dtype=bool)
+    bit = np.empty(n, dtype=np.uint16)
+    for i, offset in enumerate(offsets):
+        ring = pixels[start + offset : start + offset + n]
+        bright |= np.left_shift(np.greater(ring, hi, out=hit), i, out=bit, dtype=np.uint16)
+        dark |= np.left_shift(np.less(ring, lo, out=hit), i, out=bit, dtype=np.uint16)
 
-    packed_bright = np.zeros(centre.shape, dtype=np.uint32)
-    packed_dark = np.zeros(centre.shape, dtype=np.uint32)
-    bright_excess = np.zeros(centre.shape, dtype=np.int32)
-    dark_excess = np.zeros(centre.shape, dtype=np.int32)
-    for i, (dx, dy) in enumerate(_RING):
-        ring = img[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx].astype(np.int16)
-        packed_bright |= (ring > hi).astype(np.uint32) << i
-        packed_dark |= (ring < lo).astype(np.uint32) << i
-        bright_excess += np.maximum(ring - hi, 0)
-        dark_excess += np.maximum(lo - ring, 0)
-
-    arc = np.uint32((1 << _ARC_LENGTH) - 1)
-    is_bright = np.zeros(centre.shape, dtype=bool)
-    is_dark = np.zeros(centre.shape, dtype=bool)
-    wrap_bright = packed_bright | (packed_bright << 16)
-    wrap_dark = packed_dark | (packed_dark << 16)
-    for s in range(16):
-        is_bright |= ((wrap_bright >> s) & arc) == arc
-        is_dark |= ((wrap_dark >> s) & arc) == arc
-
-    response = np.zeros((h, w), dtype=np.int32)
-    inner = is_bright * bright_excess + is_dark * dark_excess
-    response[3 : h - 3, 3 : w - 3] = inner
-
-    # 3x3 non-maximum suppression; plateau ties are all kept.
-    neigh = np.zeros_like(response)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            shifted = np.zeros_like(response)
-            ys = slice(max(0, dy), h + min(0, dy))
-            xs = slice(max(0, dx), w + min(0, dx))
-            yd = slice(max(0, -dy), h + min(0, -dy))
-            xd = slice(max(0, -dx), w + min(0, -dx))
-            shifted[yd, xd] = response[ys, xs]
-            neigh = np.maximum(neigh, shifted)
-    keep = (response > 0) & (response >= neigh)
-
-    ys, xs = np.nonzero(keep)
-    if len(ys) == 0:
+    # No pixel passes both tests: two 9-pixel arcs of a 16-pixel ring share
+    # a pixel, which cannot be both brighter and darker than the centre.
+    table = _arc_table()
+    is_bright = np.take(table, bright)
+    found = np.flatnonzero(is_bright | np.take(table, dark))
+    column = (found + start) % w
+    found = found[(column >= 3) & (column < w - 3)]
+    flat = found + start
+    if len(flat) == 0:
         return np.empty((0, 3), dtype=np.float32)
-    resp = response[ys, xs]
-    order = np.lexsort((xs, ys, -resp))[:target]
+
+    # Responses of the corners only: the excess over the threshold of the
+    # whole ring in the direction of the arc.  A dark corner is scored as
+    # a bright one of the inverted image, 255 - v.  Its arc lies above
+    # c + t, so c + t < 255 and the uint8 sum does not wrap.
+    flip = np.where(is_bright[found], np.uint8(0), np.uint8(255))
+    floor = (pixels[flat] ^ flip) + np.uint8(t)
+    rings = np.empty((16, len(flat)), dtype=np.uint8)
+    for i, offset in enumerate(offsets):
+        np.take(pixels, flat + offset, out=rings[i])
+    rings ^= flip
+    np.maximum(rings, floor, out=rings)
+    rings -= floor
+    excess = rings.sum(axis=0, dtype=np.int32)
+
+    # 3x3 non-maximum suppression as a separable max over windows that
+    # include the centre, which a response never exceeds; plateau ties
+    # are all kept.  Responses are zero within 3 pixels of every border,
+    # so flat neighbours at +-1 never reach a corner in another row.
+    response = np.zeros(h * w, dtype=np.int32)
+    response[flat] = excess
+    rows = response.copy()
+    np.maximum(rows[1:], response[:-1], out=rows[1:])
+    np.maximum(rows[:-1], response[1:], out=rows[:-1])
+    peak = rows.copy()
+    np.maximum(peak[w:], rows[:-w], out=peak[w:])
+    np.maximum(peak[:-w], rows[w:], out=peak[:-w])
+    keep = excess >= peak[flat]
+    flat, excess = flat[keep], excess[keep]
+
+    # Strongest first; ``flat`` ascends, so a stable sort breaks ties by
+    # row then column.  Only responses reaching the target-th largest
+    # can be selected, so only they are sorted.
+    if len(excess) > target:
+        kth = np.partition(excess, len(excess) - target)[len(excess) - target]
+        strong = np.flatnonzero(excess >= kth)
+        flat, excess = flat[strong], excess[strong]
+    order = np.argsort(-excess, kind="stable")[:target]
     out = np.empty((len(order), 3), dtype=np.float32)
-    out[:, 0] = xs[order]
-    out[:, 1] = ys[order]
-    out[:, 2] = resp[order]
+    out[:, 0] = flat[order] % w
+    out[:, 1] = flat[order] // w
+    out[:, 2] = excess[order]
     return out
 
 
@@ -285,16 +341,18 @@ def sampling_pattern(seed: int, width: int = DEFAULT_WIDTH) -> np.ndarray:
 
 
 def _box_filter_sums(img: np.ndarray) -> np.ndarray:
-    """5x5 box sums via an integral image (exact integer arithmetic)."""
-    padded = np.pad(img.astype(np.int64), 2, mode="edge")
-    integral = np.pad(padded.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+    """5x5 box sums via an int32 integral image (exact integer arithmetic).
+
+    Integral entries may wrap for images above about 8 megapixels, but a
+    box sum is at most 25 * 255, so the wrapped differences are exact.
+    """
     h, w = img.shape
-    return (
-        integral[5 : 5 + h, 5 : 5 + w]
-        - integral[:h, 5 : 5 + w]
-        - integral[5 : 5 + h, :w]
-        + integral[:h, :w]
-    )
+    integral = np.zeros((h + 5, w + 5), dtype=np.int32)
+    np.pad(img, 2, mode="edge").cumsum(0, dtype=np.int32).cumsum(1, out=integral[1:, 1:])
+    sums = integral[5 : 5 + h, 5 : 5 + w] - integral[:h, 5 : 5 + w]
+    sums -= integral[5 : 5 + h, :w]
+    sums += integral[:h, :w]
+    return sums
 
 
 def extract_descriptors(
@@ -310,8 +368,10 @@ def extract_descriptors(
     is below the one at ``q_i``.  Keypoints within ``BORDER_MARGIN`` pixels
     of any border are silently dropped (the count is logged at debug level).
     The result is deterministic for a given image, keypoints and seed.
-    ``width`` must be a positive multiple of 64; any other raises ValueError.
+    ``img`` must be a 2-d uint8 array and ``width`` a positive multiple of
+    64; anything else raises ValueError.
     """
+    img = _check_image(img)
     if width < 64 or width % 64:
         raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
     corners = np.asarray(corners, dtype=np.float32).reshape(-1, 3)
@@ -331,12 +391,13 @@ def extract_descriptors(
     if len(kept) == 0:
         return FeatureSet.empty(width)
 
-    sums = _box_filter_sums(img)
+    sums = _box_filter_sums(img).ravel()
     pattern = sampling_pattern(pattern_seed, width)
     cx = np.rint(kept[:, 0]).astype(np.int64)
     cy = np.rint(kept[:, 1]).astype(np.int64)
-    sp = sums[cy[:, None] + pattern[None, :, 1], cx[:, None] + pattern[None, :, 0]]
-    sq = sums[cy[:, None] + pattern[None, :, 3], cx[:, None] + pattern[None, :, 2]]
+    centres = (cy * w + cx)[:, None]
+    sp = sums[centres + (pattern[:, 1] * w + pattern[:, 0])]
+    sq = sums[centres + (pattern[:, 3] * w + pattern[:, 2])]
     descriptors = np.packbits(sp < sq, axis=1)
     return FeatureSet(
         keypoints=kept[:, :2].copy(),

@@ -170,19 +170,17 @@ class Vocabulary:
         matches = list(zip(matched.tolist(), ids[matched, 0].tolist()))
         return matches, np.flatnonzero(~accept).tolist()
 
-    def merge_word(self, word_id: int, q: np.ndarray) -> np.ndarray:
+    def merge_word(self, word_id: int, q: np.ndarray) -> None:
         """Fold a query descriptor into a word with bitwise AND.
 
         The popcount of the word descriptor never increases; the match
         counter used by the temporary word policy is incremented.
-        Returns a copy of the updated descriptor.
         """
         info = self.words.get(word_id)
         if info is None:
             raise KeyError(f"word {word_id} is not live")
         self.forest.merge_and(word_id, q)
         info.times_matched += 1
-        return self.forest.descriptor(word_id)
 
     def add_temporary_words(
         self, features: FeatureSet, unmatched: Iterable[int], image_id: int, frame: int

@@ -11,7 +11,7 @@ import numpy as np
 
 from loopclose.bits import hamming, hamming_matrix
 from loopclose.hamming_tree import HammingForest, HammingTree, iter_leaves
-from loopclose.imgproc import FeatureSet
+from loopclose.imgproc import BORDER_MARGIN, FeatureSet, sampling_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,105 @@ def segment_test_corners(img: np.ndarray, threshold: int) -> set[tuple[int, int]
                     corners.add((x, y))
                     break
     return corners
+
+
+def detect_corners_reference(img: np.ndarray, target: int, threshold: int) -> np.ndarray:
+    """Dense form of ``detect_corners``: int16 ring comparisons and excesses
+    at every pixel, a 16-shift arc loop and an 8-neighbour NMS."""
+    img = np.asarray(img)
+    h, w = img.shape
+    if h < 16 or w < 16 or target <= 0:
+        return np.empty((0, 3), dtype=np.float32)
+
+    centre = img[3 : h - 3, 3 : w - 3].astype(np.int16)
+    lo = centre - threshold
+    hi = centre + threshold
+
+    packed_bright = np.zeros(centre.shape, dtype=np.uint32)
+    packed_dark = np.zeros(centre.shape, dtype=np.uint32)
+    bright_excess = np.zeros(centre.shape, dtype=np.int32)
+    dark_excess = np.zeros(centre.shape, dtype=np.int32)
+    for i, (dx, dy) in enumerate(_RING):
+        ring = img[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx].astype(np.int16)
+        packed_bright |= (ring > hi).astype(np.uint32) << i
+        packed_dark |= (ring < lo).astype(np.uint32) << i
+        bright_excess += np.maximum(ring - hi, 0)
+        dark_excess += np.maximum(lo - ring, 0)
+
+    arc = np.uint32((1 << 9) - 1)
+    is_bright = np.zeros(centre.shape, dtype=bool)
+    is_dark = np.zeros(centre.shape, dtype=bool)
+    wrap_bright = packed_bright | (packed_bright << 16)
+    wrap_dark = packed_dark | (packed_dark << 16)
+    for s in range(16):
+        is_bright |= ((wrap_bright >> s) & arc) == arc
+        is_dark |= ((wrap_dark >> s) & arc) == arc
+
+    response = np.zeros((h, w), dtype=np.int32)
+    response[3 : h - 3, 3 : w - 3] = is_bright * bright_excess + is_dark * dark_excess
+
+    neigh = np.zeros_like(response)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            shifted = np.zeros_like(response)
+            ys = slice(max(0, dy), h + min(0, dy))
+            xs = slice(max(0, dx), w + min(0, dx))
+            yd = slice(max(0, -dy), h + min(0, -dy))
+            xd = slice(max(0, -dx), w + min(0, -dx))
+            shifted[yd, xd] = response[ys, xs]
+            neigh = np.maximum(neigh, shifted)
+    keep = (response > 0) & (response >= neigh)
+
+    ys, xs = np.nonzero(keep)
+    if len(ys) == 0:
+        return np.empty((0, 3), dtype=np.float32)
+    resp = response[ys, xs]
+    order = np.lexsort((xs, ys, -resp))[:target]
+    out = np.empty((len(order), 3), dtype=np.float32)
+    out[:, 0] = xs[order]
+    out[:, 1] = ys[order]
+    out[:, 2] = resp[order]
+    return out
+
+
+def extract_descriptors_reference(
+    img: np.ndarray, corners: np.ndarray, pattern_seed: int = 42, width: int = 256
+) -> FeatureSet:
+    """2-D form of ``extract_descriptors``: int64 box sums over the whole
+    image, sampled with (row, column) fancy indexing."""
+    corners = np.asarray(corners, dtype=np.float32).reshape(-1, 3)
+    h, w = img.shape
+    x, y = corners[:, 0], corners[:, 1]
+    ok = (
+        (x >= BORDER_MARGIN)
+        & (x < w - BORDER_MARGIN)
+        & (y >= BORDER_MARGIN)
+        & (y < h - BORDER_MARGIN)
+    )
+    kept = corners[ok]
+    if len(kept) == 0:
+        return FeatureSet.empty(width)
+
+    padded = np.pad(np.asarray(img).astype(np.int64), 2, mode="edge")
+    integral = np.pad(padded.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+    sums = (
+        integral[5 : 5 + h, 5 : 5 + w]
+        - integral[:h, 5 : 5 + w]
+        - integral[5 : 5 + h, :w]
+        + integral[:h, :w]
+    )
+    pattern = sampling_pattern(pattern_seed, width)
+    cx = np.rint(kept[:, 0]).astype(np.int64)
+    cy = np.rint(kept[:, 1]).astype(np.int64)
+    sp = sums[cy[:, None] + pattern[None, :, 1], cx[:, None] + pattern[None, :, 0]]
+    sq = sums[cy[:, None] + pattern[None, :, 3], cx[:, None] + pattern[None, :, 2]]
+    return FeatureSet(
+        keypoints=kept[:, :2].copy(),
+        responses=kept[:, 2].copy(),
+        descriptors=np.packbits(sp < sq, axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,25 @@ def test_extract_rejects_width_not_a_multiple_of_64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: descriptor width 100 is not a positive multiple of 64\n"
     assert not list(feat_dir.glob("*.feat"))
+
+
+def test_extract_rejects_threshold_outside_0_255(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    feat_dir = tmp_path / "feats"
+    for threshold in ("100000", "-5", "256"):
+        assert main(["extract", str(img_dir), str(feat_dir), "--threshold", threshold]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: corner threshold {threshold} is not an integer in 0..255\n"
+    assert not list(feat_dir.glob("*.feat"))
+    assert main(["extract", str(img_dir), str(feat_dir), "--threshold", "255"]) == 0
+
+
+def test_run_rejects_corner_threshold_outside_0_255(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    for threshold in (100000, -5, 256):
+        config = write_config(
+            tmp_path / "c.cfg", mode="images", input=str(img_dir), corner_threshold=threshold
+        )
+        assert main(["run", config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: corner_threshold must be in 0..255, got {threshold}\n"

@@ -166,6 +166,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"mode": "video"})
 
+    def test_corner_threshold_range(self):
+        for bad in (-1, 256):
+            with pytest.raises(ConfigError, match=f"corner_threshold must be in 0..255, got {bad}"):
+                RunConfig(corner_threshold=bad)
+        assert config_from_dict({"corner_threshold": "255"}).corner_threshold == 255
+        assert RunConfig(corner_threshold=0).corner_threshold == 0
+
 
 def small_config(**overrides):
     values = dict(

@@ -18,7 +18,11 @@ from loopclose.imgproc import (
     write_pgm,
 )
 
-from helpers import segment_test_corners
+from helpers import (
+    detect_corners_reference,
+    extract_descriptors_reference,
+    segment_test_corners,
+)
 
 
 class TestPgm:
@@ -280,6 +284,116 @@ class TestExtractDescriptors:
             with pytest.raises(ValueError, match=f"descriptor width {width} is not a positive multiple of 64"):
                 extract_descriptors(img, kps, width=width)
         assert extract_descriptors(img, kps, width=128).width_bits == 128
+
+
+def _corridor(rng, h, w):
+    """Textured 12x12 patches of four grey levels pasted on a grey background."""
+    img = np.full((h, w), 128, dtype=np.uint8)
+    levels = np.array([30, 80, 175, 225], dtype=np.uint8)
+    for _ in range(max(1, h * w // 770)):
+        patch = np.kron(levels[rng.integers(0, 4, size=(4, 4))], np.ones((3, 3), dtype=np.uint8))
+        y, x = rng.integers(0, h - 11), rng.integers(0, w - 11)
+        img[y : y + 12, x : x + 12] = patch
+    return img
+
+
+def _corpus(h, w, seed=0):
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, 256, size=(h // 8 + 1, w // 8 + 1), dtype=np.uint8)
+    return {
+        "corridor": _corridor(rng, h, w),
+        "gaussian": np.clip(rng.normal(128, 40, size=(h, w)), 0, 255).astype(np.uint8),
+        "uniform": rng.integers(0, 256, size=(h, w), dtype=np.uint8),
+        "blocky": np.kron(blocks, np.ones((8, 8), dtype=np.uint8))[:h, :w],
+        "saturated": (rng.integers(0, 2, size=(h, w)) * 255).astype(np.uint8),
+        "flat": np.full((h, w), 77, dtype=np.uint8),
+    }
+
+
+def _views(img):
+    return {"array": img, "mirrored": img[:, ::-1], "transposed": img.T}
+
+
+class TestKernelsMatchReference:
+    """The packed-ring detector and the flat-index sampler against the
+    dense forms they replaced (``helpers``), array for array."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 23), (480, 640)])
+    @pytest.mark.parametrize("threshold", [0, 5, 20, 40, 255])
+    def test_detect_corners(self, shape, threshold):
+        tie_cuts = 0
+        for name, img in _corpus(*shape).items():
+            for view_name, view in _views(img).items():
+                ref = detect_corners_reference(view, 10**9, threshold)
+                # Targets that cut between two equal responses, where the
+                # row-then-column tie break decides what is kept.
+                ties = (np.flatnonzero(ref[1:, 2] == ref[:-1, 2]) + 1)[:3]
+                tie_cuts += len(ties)
+                for target in (1, 7, *ties.tolist(), len(ref), len(ref) + 1, 10**9):
+                    got = detect_corners(view, target, threshold)
+                    assert got.dtype == np.float32, (name, view_name)
+                    assert np.array_equal(got, ref[:target]), (name, view_name, target)
+        if shape == (480, 640) and threshold < 255:
+            assert tie_cuts > 0
+
+    @staticmethod
+    def _margin_keypoints(h, w):
+        """Keypoints on and just outside the margin on every side, including
+        half-pixel positions."""
+        m = BORDER_MARGIN
+        return np.array(
+            [
+                [m, m, 1], [w - m - 1, h - m - 1, 2], [m, h - m - 1, 3], [w - m - 1, m, 4],
+                [m - 1, m, 5], [m, m - 1, 6], [w - m, m, 7], [m, h - m, 8],
+                [w - m - 0.5, h - m - 0.5, 9], [m - 0.5, m, 10], [m + 0.5, m + 0.5, 11],
+            ],
+            dtype=np.float32,
+        )
+
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 23), (49, 49), (480, 640)])
+    def test_extract_descriptors(self, shape):
+        for name, img in _corpus(*shape).items():
+            for view_name, view in _views(img).items():
+                corners = np.vstack(
+                    [detect_corners(view, 2000, 20), self._margin_keypoints(*view.shape)]
+                )
+                for seed, width in ((42, 256), (7, 512)):
+                    got = extract_descriptors(view, corners, pattern_seed=seed, width=width)
+                    ref = extract_descriptors_reference(view, corners, pattern_seed=seed, width=width)
+                    for field in ("keypoints", "responses", "descriptors"):
+                        assert np.array_equal(getattr(got, field), getattr(ref, field)), (
+                            name, view_name, width, field,
+                        )
+
+    def test_margin_keypoints_kept_exactly_inside(self):
+        img = _corpus(49, 49)["uniform"]
+        kept = extract_descriptors(img, self._margin_keypoints(49, 49))
+        assert kept.responses.tolist() == [1, 2, 3, 4, 9, 11]
+        assert kept.keypoints.tolist() == [[24.0, 24.0]] * 4 + [[24.5, 24.5]] * 2
+
+
+class TestInputContract:
+    def test_threshold_outside_0_255_rejected(self):
+        img = np.zeros((32, 32), dtype=np.uint8)
+        for bad in (-5, 256, 100000, 20.0):
+            with pytest.raises(ValueError, match=f"corner threshold {bad!r} is not an integer in 0..255"):
+                detect_corners(img, 10, threshold=bad)
+        assert len(detect_corners(img, 10, threshold=np.int64(255))) == 0
+
+    def test_image_not_2d_uint8_rejected(self):
+        kps = np.array([[40.0, 40.0, 1.0]], dtype=np.float32)
+        for bad in (
+            np.zeros((64, 64, 3), dtype=np.uint8),
+            np.full((64, 64), 40000, dtype=np.int32),
+            np.zeros((64, 64), dtype=np.float64),
+            np.zeros(64, dtype=np.uint8),
+        ):
+            with pytest.raises(ValueError, match=r"image must be a 2-d uint8 array") as info:
+                detect_corners(bad, 10)
+            assert f"got shape {bad.shape} dtype {bad.dtype}" in str(info.value)
+            with pytest.raises(ValueError, match=r"image must be a 2-d uint8 array") as info:
+                extract_descriptors(bad, kps)
+            assert f"got shape {bad.shape} dtype {bad.dtype}" in str(info.value)
 
 
 class TestFeatureFiles:
