@@ -191,7 +191,12 @@ def frame_source(directory, suffix: str, read: Callable[[Path], T]) -> Iterator[
 def image_frames(
     directory, features: int, threshold: int, pattern_seed: int, width: int
 ) -> Iterator[tuple[Path, FeatureSet]]:
-    """Features of each PGM image of ``directory``, in name order."""
+    """Features of each PGM image of ``directory``, in name order.
+
+    A ``features`` count below 1 raises ValueError before any image is read.
+    """
+    if features < 1:
+        raise ValueError(f"features must be at least 1, got {features}")
     for path, img in frame_source(directory, ".pgm", load_pgm):
         corners = detect_corners(img, features, threshold)
         yield path, extract_descriptors(img, corners, pattern_seed=pattern_seed, width=width)
@@ -234,11 +239,6 @@ def run_sequence(config: RunConfig, write: bool = True) -> RunOutput:
     diagnostics: list[UpdateStats] = []
     frame_times: list[float] = []
     for index, features in enumerate(frames):
-        if len(features) and features.width_bits != config.descriptor_bits:
-            raise ValueError(
-                f"frame {index}: descriptor width {features.width_bits} does not match "
-                f"configured {config.descriptor_bits}"
-            )
         start = time.perf_counter()
         result = detector.on_frame(features)
         frame_times.append(time.perf_counter() - start)

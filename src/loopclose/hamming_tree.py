@@ -7,16 +7,19 @@ together: the query descends every tree once, unexplored children go onto
 a shared priority queue keyed by centre distance, and the search keeps
 popping the queue until a budget of distinct descriptors has been examined.
 A descriptor reached through several trees is counted once: each search
-collects the store rows of the leaves it reaches in a set of its own, then
-makes one Hamming distance pass over that set.  Leaves record store rows
-only; word ids are read from the store's row -> id array where needed.
+collects the store rows of the leaves it reaches in a set of its own.
+Every search ranks its rows with one kernel, :meth:`DescriptorStore.top_k`,
+by an int64 key ``distance << id_bits | id``; word ids are checked to fit
+it when stored.  Leaves record store rows only; word ids are read from
+the store's row -> id array where needed.
 
 A frame's descriptors are searched together by
 :meth:`HammingForest.knn_search_batch`: every tree is descended once by
 all of them, grouped by child at each node.  A query whose reached leaves
 already hold ``budget`` distinct words would pop nothing from the queue,
-so it is answered from those leaves, scored in fixed chunks of queries;
-any other query takes the per-query walk.  Both give the same answers.
+so it is answered from those leaves; any other query walks.  A chunk's
+leaf and walked rows are ranked by one ``top_k`` call, so both searches
+give the same answers.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and an
@@ -122,7 +125,13 @@ class DescriptorStore:
     def word_ids(self):
         return self._row_of.keys()
 
+    def check_id(self, word_id: int) -> None:
+        """Refuse a word id that does not fit the id field of a packed key."""
+        if not 0 <= word_id < 1 << self.id_bits:
+            raise ValueError(f"word id {word_id} is outside 0..2**{self.id_bits}-1")
+
     def add(self, word_id: int, desc: np.ndarray) -> int:
+        self.check_id(word_id)
         if word_id in self._row_of:
             raise ValueError(f"word {word_id} already stored")
         desc = np.asarray(desc, dtype=np.uint8)
@@ -162,18 +171,10 @@ class DescriptorStore:
             raise ValueError("descriptor width mismatch in merge")
         self._data[self._row_of[word_id]] &= q
 
-    def distances(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        q64 = np.ascontiguousarray(q).view(np.uint64)
-        return np.bitwise_count(self._data64[rows] ^ q64).sum(axis=1, dtype=np.int32)
-
     @property
     def id_bits(self) -> int:
         """Bits left for the word id in an int64 key ``distance << id_bits | id``."""
         return 63 - (self.nbytes * 8).bit_length()
-
-    def ids_fit_keys(self) -> bool:
-        """Whether every stored word id fits the id field of a packed key."""
-        return int(self._word_of.max()) < 1 << self.id_bits
 
     def live_rows(self) -> np.ndarray:
         return np.flatnonzero(self._word_of >= 0)
@@ -183,9 +184,8 @@ class DescriptorStore:
 
         ``rows`` is 1-D (the rows compared with every query) or ``(m, r)``
         (each query's own rows, -1 marking none); a query must list a row
-        at most once, and every id must fit a packed key
-        (:meth:`ids_fit_keys`).  Returns ``(ids, dists)``, both ``(m, k)``,
-        padded with -1 and ``NO_DISTANCE`` past the rows a query has.
+        at most once.  Returns ``(ids, dists)``, both ``(m, k)``, padded
+        with -1 and ``NO_DISTANCE`` past the rows a query has.
         """
         id_bits = self.id_bits
         keys = plane_distances(q64, self._data64, rows).astype(np.int64) << id_bits
@@ -213,12 +213,6 @@ class DescriptorStore:
     def capacity(self) -> int:
         """Number of rows allocated; row indices are always below it."""
         return len(self._word_of)
-
-    def scan(self, q: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Word ids and distances to ``q`` of the words at ``rows`` (default: every live word)."""
-        if rows is None:
-            rows = self.live_rows()
-        return self._word_of[rows], self.distances(q, rows)
 
 
 class TreeNode:
@@ -461,6 +455,8 @@ class HammingForest:
 
     def build(self, words: dict[int, np.ndarray]) -> None:
         """Build every tree over an id -> descriptor mapping."""
+        for word_id in words:
+            self.store.check_id(word_id)
         for word_id, desc in words.items():
             self.store.add(word_id, desc)
         ids = list(words)
@@ -489,11 +485,12 @@ class HammingForest:
         Every tree is descended once (children ranked by Hamming distance
         to their centre snapshot, siblings pushed onto one priority
         queue), then the queue is popped until at least ``budget``
-        distinct descriptors have been examined or the queue drains.
+        distinct descriptors have been examined or the queue drains; the
+        examined words are ranked by :meth:`DescriptorStore.top_k`.
         A budget at least as large as the vocabulary examines every word,
-        so it is answered exactly by one Hamming scan over the live store
-        rows instead of the walk, with the same result.
-        Results are sorted by ascending distance, ties by ascending id.
+        so the live store rows are ranked instead of walking, with the
+        same result.  Results are sorted by ascending distance, ties by
+        ascending id.
         """
         if len(self.store) == 0 or k <= 0:
             return []
@@ -504,13 +501,16 @@ class HammingForest:
             raise ValueError(
                 f"descriptor width mismatch: query {q.shape[-1] * 8} bits, forest {self.width}"
             )
-        if budget >= len(self.store):
-            return _nearest(*self.store.scan(q), k)
-        return self._best_bin_first(q, k, budget)
-
-    def _best_bin_first(self, q: np.ndarray, k: int, budget: int) -> list[Neighbor]:
-        """The tree walk of :meth:`knn_search`, for a validated query."""
         q64 = np.ascontiguousarray(q).view(np.uint64)[None]
+        if budget >= len(self.store):
+            rows = self.store.live_rows()
+        else:
+            rows = np.array(self._best_bin_first(q64, budget), dtype=np.int64)
+        ids, dists = self.store.top_k(q64, rows, min(k, len(rows)))
+        return list(map(Neighbor, ids[0].tolist(), dists[0].tolist()))
+
+    def _best_bin_first(self, q64: np.ndarray, budget: int) -> list[int]:
+        """Store rows the walk of :meth:`knn_search` examines for one ``(1, words)`` query."""
         heap: list = []
         tick = _counter()
         seen: set[int] = set()  # store rows examined, across trees
@@ -532,9 +532,7 @@ class HammingForest:
         while heap and len(seen) < budget:
             _, _, cursor = heapq.heappop(heap)
             descend(cursor.next_child(heap, tick))
-
-        rows = np.fromiter(seen, dtype=np.int64, count=len(seen))
-        return _nearest(*self.store.scan(q, rows), k)
+        return list(seen)
 
     def knn_search_batch(
         self, queries: np.ndarray, k: int, budget: int | None = None
@@ -550,9 +548,10 @@ class HammingForest:
         nearest child at every node.  A query whose reached leaves hold at
         least ``budget`` distinct words is answered from them: the walk
         would pop no queued sibling and examine exactly those words.  The
-        other queries take the walk of :meth:`knn_search` one by one.  A
-        budget covering the live vocabulary scores every live word, as
-        :meth:`knn_search` does.
+        other queries walk as :meth:`knn_search` does.  Queries are ranked
+        in chunks, each chunk's leaf and walked rows by one
+        :meth:`DescriptorStore.top_k` call.  A budget covering the live
+        vocabulary ranks every live word, as :meth:`knn_search` does.
         """
         queries = np.asarray(queries, dtype=np.uint8)
         if queries.ndim != 2 or queries.shape[1] != self.store.nbytes:
@@ -568,30 +567,28 @@ class HammingForest:
         if budget is None:
             budget = self.budget
         q64 = np.ascontiguousarray(queries).view(np.uint64)
-        answered = np.zeros(n, dtype=bool)
-        if self.store.ids_fit_keys():
-            full = budget >= len(self.store)
-            if full:
-                live = self.store.live_rows()
-            else:
-                leaf_rows, reached = self._reached_leaves(q64)
-            for s in range(0, n, _CHUNK):
-                e = min(s + _CHUNK, n)
-                if full:
-                    rows, idx = live, np.arange(s, e)
-                else:
-                    # The union of each query's leaves, every store row once.
-                    rows = leaf_rows[reached[s:e]].reshape(e - s, -1)
-                    rows.sort(axis=1)
-                    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
-                    ok = (rows >= 0).sum(axis=1) >= budget
-                    rows, idx = rows[ok], s + np.flatnonzero(ok)
-                ids[idx], dists[idx] = self.store.top_k(q64[idx], rows, k)
-                answered[idx] = True
-        for i in np.flatnonzero(~answered).tolist():
-            found = self.knn_search(queries[i], k, budget)
-            ids[i, : len(found)] = [nb.word_id for nb in found]
-            dists[i, : len(found)] = [nb.distance for nb in found]
+        full = budget >= len(self.store)
+        if full:
+            rows = self.store.live_rows()
+        else:
+            leaf_rows, reached = self._reached_leaves(q64)
+        for s in range(0, n, _CHUNK):
+            e = min(s + _CHUNK, n)
+            if not full:
+                # The union of each query's leaves, every store row once.
+                rows = leaf_rows[reached[s:e]].reshape(e - s, -1)
+                rows.sort(axis=1)
+                rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+                # A query whose leaves hold fewer than `budget` words walks,
+                # and its walked rows replace its line.
+                short = np.flatnonzero((rows >= 0).sum(axis=1) < budget)
+                if len(short):
+                    walks = [self._best_bin_first(q64[i, None], budget) for i in s + short]
+                    walked = _padded(walks, rows.shape[1])
+                    extra = np.full((e - s, walked.shape[1] - rows.shape[1]), -1, dtype=np.int64)
+                    rows = np.concatenate([rows, extra], axis=1)
+                    rows[short] = walked
+            ids[s:e], dists[s:e] = self.store.top_k(q64[s:e], rows, k)
         return ids, dists
 
     def _reached_leaves(self, q64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -626,16 +623,14 @@ class HammingForest:
                             stack.append((child, group))
                 # Queries sent to an internal child are written again below it.
                 reached[idx, t] = np.array(lines)[best]
-        sizes = np.fromiter(map(len, leaves), dtype=np.int64, count=len(leaves))
-        leaf_rows = np.full((len(leaves), int(sizes.max())), -1, dtype=np.int64)
-        leaf_rows[np.arange(leaf_rows.shape[1]) < sizes[:, None]] = np.fromiter(
-            chain.from_iterable(leaves), dtype=np.int64, count=int(sizes.sum())
-        )
-        return leaf_rows, reached
+        return _padded(leaves), reached
 
 
-def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> list[Neighbor]:
-    """The ``k`` first entries in (distance, id) order."""
-    order = np.lexsort((ids, dists))[:k]
-    return [Neighbor(int(ids[i]), int(dists[i])) for i in order]
-
+def _padded(lists, width: int = 0) -> np.ndarray:
+    """Row lists as one table of at least ``width`` columns, a line per list, padded with -1."""
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    table = np.full((len(lists), max(int(sizes.max()), width)), -1, dtype=np.int64)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = np.fromiter(
+        chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum())
+    )
+    return table

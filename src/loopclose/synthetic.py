@@ -149,8 +149,14 @@ def generate_synthetic(
 
     Returns ``(frames, ground_truth)`` where ``ground_truth`` maps each
     revisit frame index to the original frame indices it closes a loop
-    with.  Deterministic for a fixed seed.
+    with.  Deterministic for a fixed seed.  ``n_features`` must be at
+    least 1 and ``width`` a positive multiple of 64, or ValueError is
+    raised.
     """
+    if n_features < 1:
+        raise ValueError(f"features must be at least 1, got {n_features}")
+    if width < 64 or width % 64:
+        raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
     if isinstance(plan, str):
         plan = parse_plan(plan)
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from loopclose.bits import hamming, hamming_matrix
-from loopclose.hamming_tree import HammingForest, HammingTree, iter_leaves
+from loopclose.hamming_tree import HammingForest, HammingTree, Neighbor, iter_leaves
 from loopclose.imgproc import BORDER_MARGIN, FeatureSet, sampling_pattern
 
 
@@ -40,6 +40,16 @@ def assign_words_loop(vocab, features: FeatureSet):
         else:
             unmatched.append(i)
     return matches, unmatched
+
+
+def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> list[Neighbor]:
+    """The ``k`` nearest of the words the best-bin-first walk examines,
+    ranked by ``DescriptorStore.top_k``, even where ``knn_search`` would
+    rank every live word instead of walking."""
+    q64 = np.ascontiguousarray(q).view(np.uint64)[None]
+    rows = np.array(forest._best_bin_first(q64, budget), dtype=np.int64)
+    ids, dists = forest.store.top_k(q64, rows, min(k, len(rows)))
+    return [Neighbor(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist())]
 
 
 def initial_leaf_rows(forest: HammingForest, q: np.ndarray) -> set[int]:

@@ -40,6 +40,7 @@ from helpers import (
     linear_nn_distances,
     random_feature_set,
     synthetic_two_view,
+    walk_answer,
 )
 
 
@@ -68,9 +69,9 @@ def test_tree_oracle_equivalence():
     total = 0
     for seed in range(30):
         size = vocab_size_for_seed(seed)
-        # A full budget is answered by the forest's exact scan over its live
-        # store rows, whatever the tree count; test_hamming_tree.py pins the
-        # best-bin-first walk, run to exhaustion, to that scan.
+        # A full budget ranks every live store row, whatever the tree
+        # count; test_hamming_tree.py pins the best-bin-first walk, run to
+        # exhaustion, to that ranking.
         forest, descs = build_random_vocab(seed, num_trees=4 if size <= 2400 else 1)
         rng = np.random.default_rng(1000 + seed)
         queries = random_descriptors(rng, 1000)
@@ -209,8 +210,8 @@ def test_mutation_soundness():
             check_forest_invariants(forest, leaf_capacity=150)
             for q in random_descriptors(rng, 3):
                 # The tree walk itself, run to exhaustion: a full-budget
-                # knn_search would answer from the store scan instead.
-                found = {n.word_id for n in forest._best_bin_first(q, 10, budget=len(forest))}
+                # knn_search would rank every live word instead.
+                found = {n.word_id for n in walk_answer(forest, q, 10, budget=len(forest))}
                 assert not (found & removed), "removed word surfaced in a search"
     check_forest_invariants(forest, leaf_capacity=150)
     elapsed = time.perf_counter() - start

@@ -225,3 +225,45 @@ def test_run_rejects_corner_threshold_outside_0_255(tmp_path, capsys):
         assert main(["run", config]) == 2
         err = capsys.readouterr().err
         assert err == f"error: corner_threshold must be in 0..255, got {threshold}\n"
+
+
+def test_extract_rejects_feature_count_below_1(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    feat_dir = tmp_path / "feats"
+    for count in ("-5", "0"):
+        assert main(["extract", str(img_dir), str(feat_dir), "--features", count]) == 2
+        assert capsys.readouterr().err == f"error: features must be at least 1, got {count}\n"
+    assert not list(feat_dir.glob("*.feat"))
+
+
+def test_run_images_rejects_feature_count_below_1(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    config = write_config(tmp_path / "c.cfg", mode="images", input=str(img_dir), features=-5)
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == "error: features must be at least 1, got -5\n"
+
+
+def test_run_synthetic_rejects_feature_count_below_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, "features": 0, "out": str(out)})
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == "error: features must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+def test_synth_rejects_feature_count_below_1(tmp_path, capsys):
+    out = tmp_path / "synth"
+    assert main(["synth", "new:3", str(out), "--features", "-2"]) == 2
+    assert capsys.readouterr().err == "error: features must be at least 1, got -2\n"
+    assert not out.exists()
+
+
+def test_synth_rejects_width_not_a_multiple_of_64(tmp_path, capsys):
+    expected = "error: descriptor width 100 is not a positive multiple of 64\n"
+    out = tmp_path / "synth"
+    assert main(["synth", "new:3", str(out), "--bits", "100"]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+    config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, "descriptor_bits": 100})
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == expected

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,37 @@ class TestRunSequence:
         config = small_config(mode="features", input=str(feat_dir))
         with pytest.raises(Exception, match="width"):
             run_sequence(config, write=False)
+
+
+# Six fixed-seed synthetic runs (p=10, seed 0) and the sha256 prefixes of
+# their results.csv and diagnostics.csv.  A refactor must leave them
+# byte-identical; a deliberate behaviour change updates them and says so.
+FIXED_SEED_RUNS = [
+    ("new:60,revisit:0:30", 300, {}, "c34d8c6fba2cc561", "3b1d52cad400e5fc"),
+    ("new:40,revisit:0:40", 20, {}, "0c0fdf151afd13b3", "d84d816e732343ea"),
+    ("new:40,revisit:0:20", 1000, {}, "19245fa81008711d", "ca3d18525b74b90e"),
+    ("new:30,revisit:0:20", 40, {"budget": "1000"}, "831e5c75c7b74b76", "ad1239085751de81"),
+    ("new:50,revisit:0:25", 200, {"T_i": "1"}, "001a78dd1a299b28", "21c05e6f0e220baf"),
+    (
+        "new:80,revisit:0:40,revisit:40:40", 200, {"K": "4", "S": "20"},
+        "e007af28f0275f03", "ca41e76ea37f5d8a",
+    ),
+]
+
+
+def test_fixed_seed_outputs_unchanged(tmp_path):
+    got, expected = [], []
+    for i, (plan, features, extra, results, diagnostics) in enumerate(FIXED_SEED_RUNS):
+        out = tmp_path / str(i)
+        values = {"mode": "synthetic", "input": plan, "features": str(features), "p": "10", **extra}
+        run_sequence(config_from_dict({**values, "out": str(out)}))
+        digests = [
+            hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+            for name in ("results.csv", "diagnostics.csv")
+        ]
+        got.append((plan, features, extra, *digests))
+        expected.append((plan, features, extra, results, diagnostics))
+    assert got == expected
 
 
 def test_summary_reports_timing_fields():

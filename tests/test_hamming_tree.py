@@ -15,7 +15,7 @@ from loopclose.bits import (
 )
 from loopclose.hamming_tree import NO_DISTANCE, HammingForest
 
-from helpers import check_forest_invariants, initial_leaf_rows, linear_nn_distances
+from helpers import check_forest_invariants, initial_leaf_rows, linear_nn_distances, walk_answer
 
 GOLDEN_DUMP = """\
 node root
@@ -164,9 +164,9 @@ class TestSearch:
         for i, q in enumerate(queries):
             got = forest.knn_search(q, 1, budget=500)
             assert got[0].distance == oracle[i]
-            # A full budget takes the store scan; the best-bin-first walk
+            # A full budget ranks every live word; the best-bin-first walk
             # run to exhaustion must reach the same answer.
-            assert forest._best_bin_first(q, 1, budget=500) == got
+            assert walk_answer(forest, q, 1, budget=500) == got
 
     def test_full_budget_knn_distance_lists(self):
         rng = np.random.default_rng(5)
@@ -180,23 +180,23 @@ class TestSearch:
             got = forest.knn_search(q, 5, budget=300)
             expected = np.sort(dist[i])[:5]
             assert [n.distance for n in got] == expected.tolist()
-            assert forest._best_bin_first(q, 5, budget=300) == got
+            assert walk_answer(forest, q, 5, budget=300) == got
 
         # After removals and in-place merges the walk still covers every
-        # live word, and reads the merged descriptors as the scan does.
+        # live word, and reads the merged descriptors as the full budget does.
         for i in range(0, 300, 4):
             forest.remove(i)
         for i in range(1, 300, 8):
             forest.merge_and(i, queries[i % 40])
         for q in queries:
             got = forest.knn_search(q, 5, budget=len(forest))
-            assert forest._best_bin_first(q, 5, budget=len(forest)) == got
+            assert walk_answer(forest, q, 5, budget=len(forest)) == got
             assert not {n.word_id for n in got} & set(range(0, 300, 4))
 
     def test_sparse_word_ids_dedup_sized_by_store_rows(self):
         # Word ids are never reused, so they run far past the live
         # vocabulary; the walk dedups by store row, which removals free and
-        # later inserts reuse, and must still reach the scan's answer.
+        # later inserts reuse, and must still reach the full budget's answer.
         rng = np.random.default_rng(22)
         descs = random_descriptors(rng, 1600)
         ids = [10**6 + 1000 * i for i in range(1600)]
@@ -210,7 +210,7 @@ class TestSearch:
                 forest.remove(ids[i - 300])
         for q in queries:
             got = forest.knn_search(q, 5, budget=len(forest))
-            assert forest._best_bin_first(q, 5, budget=len(forest)) == got
+            assert walk_answer(forest, q, 5, budget=len(forest)) == got
         assert forest.store.capacity < 10**6
 
     def test_concurrent_searches_match_sequential(self):
@@ -385,10 +385,10 @@ def per_query_answers(forest, queries, k, budget):
 
 
 def count_walks(forest):
-    """Record every per-query search made through ``forest.knn_search``."""
+    """Record every best-bin-first walk the forest makes."""
     calls = []
-    search = forest.knn_search
-    forest.knn_search = lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs)
+    walk = forest._best_bin_first
+    forest._best_bin_first = lambda *args, **kwargs: calls.append(args) or walk(*args, **kwargs)
     return calls
 
 
@@ -415,7 +415,8 @@ class TestBatchSearch:
         assert 0 < len(short) < len(queries)
         walks = count_walks(forest)
         forest.knn_search_batch(queries, 2, 64)
-        assert np.array_equal(np.stack([args[0] for args in walks]), queries[short])
+        walked = np.concatenate([args[0] for args in walks]).view(np.uint8)
+        assert np.array_equal(walked, queries[short])
         walks.clear()
         forest.knn_search_batch(queries, 2, len(forest))
         assert walks == []
@@ -436,21 +437,38 @@ class TestBatchSearch:
         ids, dists = forest.knn_search_batch(queries[:0], 2)
         assert ids.shape == dists.shape == (0, 2)
 
-    def test_ids_beyond_the_key_field_take_the_walk(self):
-        # A word id too wide to pack beside a distance in one int64 key
-        # sends every query through the per-query search.
+    def test_word_ids_outside_the_key_field_refused(self):
+        # A word id shares an int64 key with its distance, and free store
+        # rows are marked -1, so ids must satisfy 0 <= id < 2**id_bits.
+        # `build` and `insert` refuse any other id and leave the forest as
+        # it was; the largest allowed id is found by both searches.
         rng = np.random.default_rng(36)
         descs = random_descriptors(rng, 300)
-        base = 1 << 60
         forest = HammingForest(leaf_capacity=40, branching=4, num_trees=2, seed=36)
-        forest.build({base + i: descs[i] for i in range(300)})
-        queries = flip_random_bits(rng, descs[:40], 10)
+        top = (1 << forest.store.id_bits) - 1
+        assert forest.store.id_bits == 54
+        bad_ids = (-1, 1 << forest.store.id_bits, 1 << 60)
+
+        def state():
+            return len(forest), sorted(forest.store.word_ids), [t.dump() for t in forest.trees]
+
+        empty = state()
+        for bad in bad_ids:
+            with pytest.raises(ValueError, match=f"word id {bad} is outside"):
+                forest.build({0: descs[1], bad: descs[2]})
+            assert state() == empty
+        forest.build({top - i: descs[i] for i in range(1, 300)})
+        forest.insert(top, descs[0])
+        built = state()
+        for bad in bad_ids:
+            with pytest.raises(ValueError, match=f"word id {bad} is outside"):
+                forest.insert(bad, descs[1])
+            assert state() == built
         for budget in (64, 300):
-            ids, dists = forest.knn_search_batch(queries, 2, budget)
-            exp_ids, exp_dists = per_query_answers(forest, queries, 2, budget)
-            np.testing.assert_array_equal(ids, exp_ids)
-            np.testing.assert_array_equal(dists, exp_dists)
-        assert ids.min() >= base
+            assert forest.knn_search(descs[0], 2, budget)[0] == (top, 0)
+            ids, dists = forest.knn_search_batch(descs, 2, budget)
+            assert ids[0, 0] == top and dists[0, 0] == 0
+            assert ids[:, 0].tolist() == [top - i for i in range(300)]
 
     def test_width_mismatch(self):
         forest = make_forest(random_descriptors(np.random.default_rng(37), 10), seed=37)

@@ -112,9 +112,9 @@ class TestBatchedAssignment:
         frames, _ = generate_synthetic("new:120,revisit:0:80", n_features=120, seed=31)
         params = VocabParams(branching=8, leaf_capacity=40, num_trees=4, budget=64, seed=4)
         vocab = Vocabulary(frames[0], params)
-        search = vocab.forest.knn_search
+        walk = vocab.forest._best_bin_first
         walks = []
-        vocab.forest.knn_search = lambda *args, **kwargs: walks.append(1) or search(*args, **kwargs)
+        vocab.forest._best_bin_first = lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs)
         walked = features = deleted = merged = 0
         for frame, fs in enumerate(frames[1:], start=1):
             before = len(walks)
