@@ -125,13 +125,13 @@ class DescriptorStore:
     def word_ids(self):
         return self._row_of.keys()
 
-    def check_id(self, word_id: int) -> None:
-        """Refuse a word id that does not fit the id field of a packed key."""
+    def check_new(self, word_id: int, desc: np.ndarray) -> np.ndarray:
+        """Refuse a word :meth:`add` cannot store; returns ``desc`` as uint8.
+
+        An id must be new and fit the id field of a packed key.
+        """
         if not 0 <= word_id < 1 << self.id_bits:
             raise ValueError(f"word id {word_id} is outside 0..2**{self.id_bits}-1")
-
-    def add(self, word_id: int, desc: np.ndarray) -> int:
-        self.check_id(word_id)
         if word_id in self._row_of:
             raise ValueError(f"word {word_id} already stored")
         desc = np.asarray(desc, dtype=np.uint8)
@@ -139,6 +139,10 @@ class DescriptorStore:
             raise ValueError(
                 f"descriptor width mismatch: got {desc.shape[-1] * 8} bits, store holds {self.nbytes * 8}"
             )
+        return desc
+
+    def add(self, word_id: int, desc: np.ndarray) -> int:
+        desc = self.check_new(word_id, desc)
         if not self._free:
             old = self._data
             self._data = np.zeros((len(old) * 2, self.nbytes), dtype=np.uint8)
@@ -454,12 +458,17 @@ class HammingForest:
         return word_id in self.store
 
     def build(self, words: dict[int, np.ndarray]) -> None:
-        """Build every tree over an id -> descriptor mapping."""
-        for word_id in words:
-            self.store.check_id(word_id)
+        """Store an id -> descriptor mapping and rebuild every tree over
+        all stored words.
+
+        Every id and descriptor is checked before the first is stored, so
+        a refused build leaves the forest as it was.
+        """
+        for word_id, desc in words.items():
+            self.store.check_new(word_id, desc)
         for word_id, desc in words.items():
             self.store.add(word_id, desc)
-        ids = list(words)
+        ids = list(self.store.word_ids)
         for tree in self.trees:
             tree.build(ids)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from loopclose.bits import hamming, hamming_matrix
+from loopclose.geometry import EstimationFailedError, RansacParams
 from loopclose.hamming_tree import HammingForest, HammingTree, Neighbor, iter_leaves
 from loopclose.imgproc import BORDER_MARGIN, FeatureSet, sampling_pattern
 
@@ -300,6 +301,120 @@ def greedy_ratio_match(feats_a: FeatureSet, feats_b: FeatureSet, ratio: float = 
         feats_a.keypoints[ia].astype(np.float64).reshape(-1, 2),
         feats_b.keypoints[ib].astype(np.float64).reshape(-1, 2),
     )
+
+
+def _normalising_transform(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Translate to the centroid and scale to RMS distance sqrt(2)."""
+    centroid = pts.mean(axis=0)
+    centred = pts - centroid
+    rms = np.sqrt((centred**2).sum(axis=1).mean())
+    if rms < 1e-12:
+        raise EstimationFailedError("degenerate configuration: points have no spread")
+    s = np.sqrt(2.0) / rms
+    t = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+    return centred * s, t
+
+
+def canonicalize_reference(f: np.ndarray) -> np.ndarray:
+    """One-matrix form of ``canonicalize``."""
+    f = f / np.linalg.norm(f)
+    flat = f.ravel()
+    if flat[np.argmax(np.abs(flat))] < 0:
+        f = -f
+    return f
+
+
+def eight_point_reference(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
+    """One-model form of ``eight_point``: one 2-d SVD per solve."""
+    points_a = np.asarray(points_a, dtype=np.float64)
+    points_b = np.asarray(points_b, dtype=np.float64)
+    n = len(points_a)
+    if n < 8 or len(points_b) != n:
+        raise ValueError(f"need >= 8 correspondences on both sides, got {n} and {len(points_b)}")
+    if not (np.isfinite(points_a).all() and np.isfinite(points_b).all()):
+        raise EstimationFailedError("non-finite point coordinates")
+
+    na, ta = _normalising_transform(points_a)
+    nb, tb = _normalising_transform(points_b)
+    xa, ya = na[:, 0], na[:, 1]
+    xb, yb = nb[:, 0], nb[:, 1]
+    a = np.column_stack(
+        [xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones(n)]
+    )
+    _, sv, vt = np.linalg.svd(a)
+    # A unique null space needs rank 8; collinear or repeated points fail here.
+    if sv[7] <= 1e-10 * sv[0]:
+        raise EstimationFailedError("degenerate configuration: linear system is rank deficient")
+    f = vt[-1].reshape(3, 3)
+
+    uf, sf, vtf = np.linalg.svd(f)
+    sf[2] = 0.0
+    f = uf @ np.diag(sf) @ vtf
+    f = tb.T @ f @ ta
+    return canonicalize_reference(f)
+
+
+def sampson_distance_reference(
+    f: np.ndarray, points_a: np.ndarray, points_b: np.ndarray
+) -> np.ndarray:
+    """One-model form of ``sampson_distance``."""
+    n = len(points_a)
+    ha = np.column_stack([points_a, np.ones(n)])
+    hb = np.column_stack([points_b, np.ones(n)])
+    fa = ha @ f.T  # rows are (F x_a)^T
+    ftb = hb @ f  # rows are (F^T x_b)^T
+    num = (hb * fa).sum(axis=1)
+    den = fa[:, 0] ** 2 + fa[:, 1] ** 2 + ftb[:, 0] ** 2 + ftb[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = np.where(den > 0, num**2 / den, np.inf)
+    return np.sqrt(d2)
+
+
+def ransac_loop(
+    points_a: np.ndarray, points_b: np.ndarray, params: RansacParams
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Loop form of ``ransac_fundamental``: one hypothesis solved and
+    scored at a time, with the one-model references above."""
+    points_a = np.asarray(points_a, dtype=np.float64)
+    points_b = np.asarray(points_b, dtype=np.float64)
+    n = len(points_a)
+    no_result = (None, np.zeros(n, dtype=bool))
+    if n < 8:
+        return no_result
+
+    rng = np.random.default_rng(params.seed)
+    cap = params.inlier_threshold**2
+    best_score = np.inf
+    best_count = 0
+    best_f = None
+    best_mask = None
+    for _ in range(params.max_iterations):
+        idx = rng.choice(n, size=8, replace=False)
+        try:
+            f = eight_point_reference(points_a[idx], points_b[idx])
+        except EstimationFailedError:
+            continue
+        d = sampson_distance_reference(f, points_a, points_b)
+        score = float(np.minimum(d**2, cap).sum())
+        if score < best_score:
+            mask = d < params.inlier_threshold
+            best_score = score
+            best_count = int(mask.sum())
+            best_f = f
+            best_mask = mask
+            if best_count == n and score == 0.0:
+                break
+
+    if best_count < 8:
+        return no_result
+    try:
+        refined = eight_point_reference(points_a[best_mask], points_b[best_mask])
+    except EstimationFailedError:
+        return best_f, best_mask
+    final_mask = (
+        sampson_distance_reference(refined, points_a, points_b) < params.inlier_threshold
+    )
+    return refined, final_mask
 
 
 def skew(t: np.ndarray) -> np.ndarray:

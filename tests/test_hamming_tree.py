@@ -153,6 +153,56 @@ class TestBuild:
         assert all(s <= 5 for s in tree.leaf_sizes())
         assert tree.all_ids() == set(range(40))
 
+    def test_refused_build_leaves_the_forest_unchanged(self):
+        # Every word of a build is checked before the first is stored.
+        # Before, a build refused on a duplicate id kept the words stored
+        # ahead of it in the store but in no tree: a walk missed them, a
+        # full-budget search found them, and removing one raised.
+        rng = np.random.default_rng(38)
+        a, b, c = random_descriptors(rng, 3)
+        forest = HammingForest(seed=38)
+        forest.build({0: a})
+
+        def answers():
+            ids, dists = forest.knn_search_batch(b[None], 1, budget=1)
+            return (
+                len(forest.store),
+                forest.knn_search(b, 1, budget=1),
+                forest.knn_search(b, 1, budget=1000),
+                ids.tolist(),
+                dists.tolist(),
+                [t.dump() for t in forest.trees],
+            )
+
+        before = answers()
+        with pytest.raises(ValueError, match="word 0 already stored"):
+            forest.build({1: b, 0: c})
+        assert answers() == before
+        with pytest.raises(ValueError, match="width"):
+            forest.build({1: b, 2: c[:16]})
+        assert answers() == before
+        with pytest.raises(KeyError):
+            forest.remove(1)
+        assert answers() == before
+        forest.remove(0)
+        assert len(forest) == 0 and forest.knn_search(b, 1, budget=1000) == []
+
+    def test_second_build_keeps_earlier_words(self):
+        # Every tree is rebuilt over all stored words.  Before, a second
+        # build rebuilt the trees over its own words only, and the earlier
+        # ones stayed in the store but in no tree.
+        rng = np.random.default_rng(39)
+        a, b = random_descriptors(rng, 2)
+        forest = HammingForest(seed=39)
+        forest.build({0: a})
+        forest.build({1: b})
+        for q, word in ((a, 0), (b, 1)):
+            for budget in (1, 1000):
+                assert forest.knn_search(q, 1, budget) == [(word, 0)]
+        check_forest_invariants(forest, 150)
+        forest.remove(0)
+        assert len(forest) == 1 and forest.knn_search(a, 1, 1000)[0].word_id == 1
+
 
 class TestSearch:
     def test_full_budget_equals_linear_scan(self):
