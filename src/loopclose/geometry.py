@@ -205,8 +205,8 @@ def _sampson(f: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     """``(m, n)`` Sampson errors of an ``(m, 3, 3)`` stack of models
     against ``(n, 3)`` homogeneous correspondences.
 
-    A correspondence with a NaN coordinate gets an infinite error; one
-    with an infinite coordinate may get NaN.
+    A correspondence with a non-finite coordinate, or a zero gradient,
+    gets an infinite error, so it is an outlier to every model.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         fa = f @ ha.T  # (m, 3, n): row j holds (F x_a)_j for every match
@@ -214,7 +214,9 @@ def _sampson(f: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
         hb = hb.T
         num = hb[0] * fa[:, 0] + hb[1] * fa[:, 1] + hb[2] * fa[:, 2]
         den = fa[:, 0] ** 2 + fa[:, 1] ** 2 + ftb[:, 0] ** 2 + ftb[:, 1] ** 2
-        d2 = np.where(den > 0, num**2 / den, np.inf)
+        d2 = num**2 / den
+        # NaN (0/0, inf/inf, a NaN input) fails `>= 0` and becomes inf.
+        d2 = np.where(d2 >= 0, d2, np.inf)
     return np.sqrt(d2)
 
 

@@ -14,17 +14,24 @@ it when stored.  Leaves record store rows only; word ids are read from
 the store's row -> id array where needed.
 
 A frame's descriptors are searched together by
-:meth:`HammingForest.knn_search_batch`: every tree is descended once by
-all of them, grouped by child at each node.  A query whose reached leaves
-already hold ``budget`` distinct words would pop nothing from the queue,
-so it is answered from those leaves; any other query walks.  A chunk's
-leaf and walked rows are ranked by one ``top_k`` call, so both searches
+:meth:`HammingForest.knn_search_batch`, which descends every tree once:
+all queries go down together, grouped by nearest child at each node
+(:func:`_descend`).  A query whose reached leaves already hold ``budget``
+distinct words would pop nothing from the queue, so it is answered from
+those leaves.  Any other query walks, its queue seeded with the sibling
+cursors its own walk would push, from the distances the grouped descent
+computed, so no tree is descended twice.  Each query's distinct rows are
+then ranked by ``top_k`` in chunks of queries ordered by row count within
+a block, each table only as wide as its longest line, so both searches
 give the same answers.
 
 The structure is fully online: words can be inserted (overflowing leaves
-are rebuilt in place) and removed (emptied nodes are pruned upward, and an
-internal node whose recorded centre word is deleted reselects a new centre
-from its remaining subtree).
+are rebuilt in place) and removed (emptied nodes are pruned upward, and
+an internal node whose recorded centre word is deleted reselects a new
+centre from its remaining subtree).  :meth:`HammingForest.insert_batch`
+descends each tree once with all of a batch's words, then places them
+word by word, so the trees and rng draws are those of one insert per
+word; :meth:`HammingForest.insert` is its one-word case.
 
 Concurrency contract: searches, per-query and batched, write no forest
 state and may run concurrently; the one write either makes is the
@@ -65,6 +72,7 @@ _MASKED = 1 << 30  # sentinel distance for the already-descended child
 NO_DISTANCE = np.iinfo(np.int32).max  # distance padding of batch answers with fewer than k words
 _NO_KEY = np.iinfo(np.int64).max  # packed key of padding and duplicate rows
 _CHUNK = 32  # queries scored together; bounds the scoring temporaries to about 1 MB
+_BLOCK = 4 * _CHUNK  # queries whose examined rows are held at once; bounds them to about 1 MB
 
 
 class _SiblingCursor:
@@ -168,12 +176,19 @@ class DescriptorStore:
         """Copy of the current descriptor of a word."""
         return self._data[self._row_of[word_id]].copy()
 
-    def merge_and(self, word_id: int, q: np.ndarray) -> None:
-        """Fold ``q`` into a stored descriptor with bitwise AND (in place)."""
-        q = np.asarray(q, dtype=np.uint8)
-        if q.shape != (self.nbytes,):
+    def merge_and(self, word_ids, qs: np.ndarray) -> None:
+        """Fold each row of ``qs`` into the stored descriptor of the word in
+        ``word_ids`` at the same position, with bitwise AND (in place).
+
+        A word may be listed more than once: AND is order-free, so it ends
+        as the AND of all its rows.  Every id is looked up before any row
+        changes.
+        """
+        qs = np.asarray(qs, dtype=np.uint8)
+        if qs.shape != (len(word_ids), self.nbytes):
             raise ValueError("descriptor width mismatch in merge")
-        self._data[self._row_of[word_id]] &= q
+        rows = [self._row_of[w] for w in word_ids]
+        np.bitwise_and.at(self._data64, rows, np.ascontiguousarray(qs).view(np.uint64))
 
     @property
     def id_bits(self) -> int:
@@ -267,6 +282,45 @@ class TreeNode:
         self._centre_mat = None
 
 
+def _descend(node: TreeNode, q64: np.ndarray, visit=None) -> tuple[list[TreeNode], np.ndarray]:
+    """Descend from ``node`` with every ``(n, words)`` query at once,
+    grouped by nearest child at each internal node.
+
+    Returns ``(leaves, reached)``: leaves listed on the way and the index
+    in ``leaves`` of the leaf each query reaches.  At every node a query
+    takes the first child of least centre distance.  ``visit(node, idx,
+    d, best)`` is called at each internal node with the queries ``idx``
+    reaching it, their ``(len(idx), children)`` centre distances and
+    their nearest child; it may overwrite ``d``.
+    """
+    leaves: list[TreeNode] = []
+    reached = np.empty(len(q64), dtype=np.int64)
+    stack = [(node, np.arange(len(q64)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.children is None:  # the start node; other leaves are listed by their parent
+            reached[idx] = len(leaves)
+            leaves.append(node)
+            continue
+        d = node.child_distances(q64[idx])
+        best = d.argmin(axis=1)
+        lines = []  # index in `leaves` of each leaf child, -1 for an internal one
+        for c, child in enumerate(node.children):
+            if child.children is None:
+                lines.append(len(leaves))
+                leaves.append(child)
+            else:
+                lines.append(-1)
+                group = idx[best == c]
+                if len(group):
+                    stack.append((child, group))
+        # Queries sent to an internal child are written again below it.
+        reached[idx] = np.array(lines)[best]
+        if visit is not None:
+            visit(node, idx, d, best)
+    return leaves, reached
+
+
 def iter_leaves(node: TreeNode) -> Iterator[TreeNode]:
     """Yield every leaf under ``node``."""
     stack = [node]
@@ -334,23 +388,21 @@ class HammingTree:
     # -- online updates -----------------------------------------------
 
     def descend_nearest(self, q: np.ndarray) -> TreeNode:
-        q64 = np.ascontiguousarray(q).view(np.uint64)[None]
-        node = self.root
-        while node.children is not None:
-            node = node.children[int(node.child_distances(q64)[0].argmin())]
-        return node
+        """The leaf one descriptor reaches by nearest-child descent."""
+        leaves, reached = _descend(self.root, np.ascontiguousarray(q).view(np.uint64)[None])
+        return leaves[reached[0]]
 
-    def insert(self, word_id: int) -> None:
-        """Insert a word already present in the store.
+    def place(self, word_id: int, q64: np.ndarray, leaf: TreeNode) -> None:
+        """Insert a stored word whose ``(1, words)`` descriptor reached ``leaf``.
 
-        Descends to the nearest leaf; if the leaf can take one more entry
-        it is appended, otherwise the leaf node is rebuilt in place over
-        its descriptors plus the new one.
+        A leaf rebuilt since the descent reached it is descended further.
+        If the leaf can take one more entry it is appended, otherwise the
+        leaf node is rebuilt in place over its descriptors plus the new one.
         """
-        if word_id in self._leaf_of:
-            raise ValueError(f"word {word_id} already in tree")
+        if leaf.children is not None:
+            leaves, reached = _descend(leaf, q64)
+            leaf = leaves[reached[0]]
         row = self.store.row(word_id)
-        leaf = self.descend_nearest(self.store.gather(row))
         if len(leaf.rows) + 1 < self.leaf_capacity:
             leaf.rows.append(row)
             self._leaf_of[word_id] = leaf
@@ -473,9 +525,39 @@ class HammingForest:
             tree.build(ids)
 
     def insert(self, word_id: int, desc: np.ndarray) -> None:
-        self.store.add(word_id, desc)
+        self.insert_batch([word_id], np.asarray(desc)[None])
+
+    def insert_batch(self, word_ids, descs: np.ndarray) -> None:
+        """Store words and insert them into every tree, with the trees and
+        rng draws that inserting them one by one, in order, would give.
+
+        Every id and descriptor is checked before the first is stored, so
+        a refused batch leaves the forest as it was.  Each tree is
+        descended once by the whole batch; the words are then placed word
+        by word, each in every tree in turn, and a word whose leaf an
+        earlier word of the batch rebuilt descends on from that leaf.
+        """
+        word_ids = list(word_ids)
+        descs = np.asarray(descs, dtype=np.uint8)
+        if descs.ndim != 2 or len(descs) != len(word_ids):
+            raise ValueError(f"{len(word_ids)} word ids need as many descriptors, got {descs.shape}")
+        checked = set()
+        for word_id, desc in zip(word_ids, descs):
+            self.store.check_new(word_id, desc)
+            if word_id in checked:
+                raise ValueError(f"word {word_id} given twice")
+            checked.add(word_id)
+        for word_id, desc in zip(word_ids, descs):
+            self.store.add(word_id, desc)
+        q64 = np.ascontiguousarray(descs).view(np.uint64)
+        targets = []
         for tree in self.trees:
-            tree.insert(word_id)
+            leaves, reached = _descend(tree.root, q64)
+            targets.append([leaves[i] for i in reached.tolist()])
+        for i, word_id in enumerate(word_ids):
+            q = q64[i, None]
+            for tree, leaves in zip(self.trees, targets):
+                tree.place(word_id, q, leaves[i])
 
     def remove(self, word_id: int) -> None:
         for tree in self.trees:
@@ -486,7 +568,12 @@ class HammingForest:
         return self.store.get(word_id)
 
     def merge_and(self, word_id: int, q: np.ndarray) -> None:
-        self.store.merge_and(word_id, q)
+        self.merge_and_batch([word_id], np.asarray(q)[None])
+
+    def merge_and_batch(self, word_ids, qs: np.ndarray) -> None:
+        """Fold each row of ``qs`` into its word of ``word_ids`` with bitwise
+        AND; see :meth:`DescriptorStore.merge_and`."""
+        self.store.merge_and(word_ids, qs)
 
     def knn_search(self, q: np.ndarray, k: int, budget: int | None = None) -> list[Neighbor]:
         """Budgeted best-bin-first search for the ``k`` nearest words.
@@ -518,8 +605,14 @@ class HammingForest:
         ids, dists = self.store.top_k(q64, rows, min(k, len(rows)))
         return list(map(Neighbor, ids[0].tolist(), dists[0].tolist()))
 
-    def _best_bin_first(self, q64: np.ndarray, budget: int) -> list[int]:
-        """Store rows the walk of :meth:`knn_search` examines for one ``(1, words)`` query."""
+    def _best_bin_first(self, q64: np.ndarray, budget: int, start=None) -> list[int]:
+        """Store rows the walk of :meth:`knn_search` examines for one ``(1, words)`` query.
+
+        Every tree is descended here, unless ``start`` resumes the walk
+        from a batch descent: ``(pushed, leaves)``, the ``(key, cursor)``
+        entries these descents would push, in push order, and the row
+        lists of the leaves they reach.
+        """
         heap: list = []
         tick = _counter()
         seen: set[int] = set()  # store rows examined, across trees
@@ -536,8 +629,17 @@ class HammingForest:
                 node = children[best]
             seen.update(node.rows)
 
-        for tree in self.trees:
-            descend(tree.root)
+        if start is None:
+            for tree in self.trees:
+                descend(tree.root)
+        else:
+            pushed, leaves = start
+            # Heap entries are distinct (key, tick) pairs, so they pop in
+            # the same order however the heap was built.
+            heap.extend((key, next(tick), cursor) for key, cursor in pushed)
+            heapq.heapify(heap)
+            for rows in leaves:
+                seen.update(rows)
         while heap and len(seen) < budget:
             _, _, cursor = heapq.heappop(heap)
             descend(cursor.next_child(heap, tick))
@@ -553,14 +655,17 @@ class HammingForest:
         order, padded with id -1 and distance ``NO_DISTANCE`` past the
         words found.
 
-        Each tree is descended by all queries together, grouped by their
-        nearest child at every node.  A query whose reached leaves hold at
-        least ``budget`` distinct words is answered from them: the walk
-        would pop no queued sibling and examine exactly those words.  The
-        other queries walk as :meth:`knn_search` does.  Queries are ranked
-        in chunks, each chunk's leaf and walked rows by one
-        :meth:`DescriptorStore.top_k` call.  A budget covering the live
-        vocabulary ranks every live word, as :meth:`knn_search` does.
+        Each tree is descended once, by all queries together, grouped by
+        their nearest child at every node.  A query whose reached leaves
+        hold at least ``budget`` distinct words is answered from them: the
+        walk would pop no queued sibling and examine exactly those words.
+        The other queries walk as :meth:`knn_search` does, resuming from
+        the batch descent.  Each query's rows are ranked by
+        :meth:`DescriptorStore.top_k` in chunks of queries ordered by row
+        count within a block of ``_BLOCK`` queries, so each table is only
+        as wide as its longest line.  A
+        budget covering the live vocabulary ranks every live word, as
+        :meth:`knn_search` does.
         """
         queries = np.asarray(queries, dtype=np.uint8)
         if queries.ndim != 2 or queries.shape[1] != self.store.nbytes:
@@ -576,70 +681,125 @@ class HammingForest:
         if budget is None:
             budget = self.budget
         q64 = np.ascontiguousarray(queries).view(np.uint64)
-        full = budget >= len(self.store)
-        if full:
+        if budget >= len(self.store):
             rows = self.store.live_rows()
-        else:
-            leaf_rows, reached = self._reached_leaves(q64)
-        for s in range(0, n, _CHUNK):
-            e = min(s + _CHUNK, n)
-            if not full:
-                # The union of each query's leaves, every store row once.
-                rows = leaf_rows[reached[s:e]].reshape(e - s, -1)
-                rows.sort(axis=1)
-                rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
-                # A query whose leaves hold fewer than `budget` words walks,
-                # and its walked rows replace its line.
-                short = np.flatnonzero((rows >= 0).sum(axis=1) < budget)
-                if len(short):
-                    walks = [self._best_bin_first(q64[i, None], budget) for i in s + short]
-                    walked = _padded(walks, rows.shape[1])
-                    extra = np.full((e - s, walked.shape[1] - rows.shape[1]), -1, dtype=np.int64)
-                    rows = np.concatenate([rows, extra], axis=1)
-                    rows[short] = walked
-            ids[s:e], dists[s:e] = self.store.top_k(q64[s:e], rows, k)
+            for s in range(0, n, _CHUNK):
+                chunk = slice(s, s + _CHUNK)
+                ids[chunk], dists[chunk] = self.store.top_k(q64[chunk], rows, k)
+            return ids, dists
+        descent = _FrameDescent(self.trees, q64)
+        # Rows are gathered a block of queries at a time, which bounds
+        # their memory; within a block, queries of similar row counts are
+        # ranked together.
+        for b in range(0, n, _BLOCK):
+            flat, starts, sizes = self._examined_rows(q64, budget, descent, b, min(b + _BLOCK, n))
+            order = np.argsort(sizes, kind="stable")
+            for s in range(0, len(order), _CHUNK):
+                chunk = order[s : s + _CHUNK]
+                rows = _lines(flat, starts[chunk, None], sizes[chunk, None])
+                ids[b + chunk], dists[b + chunk] = self.store.top_k(q64[b + chunk], rows, k)
         return ids, dists
 
-    def _reached_leaves(self, q64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The leaf each ``(n, words)`` query reaches in each tree.
+    def _examined_rows(
+        self, q64: np.ndarray, budget: int, descent: _FrameDescent, b: int, e: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The store rows :meth:`_best_bin_first` examines for each of the
+        queries ``b`` to ``e``, resumed from ``descent``.
 
-        Returns ``(leaf_rows, reached)``: a table of the reached leaves'
-        store rows, one leaf per line padded with -1, and the ``(n,
-        trees)`` line of each query's leaf in each tree.  At every node a
-        query takes the first child of least centre distance, as
-        :meth:`_best_bin_first` does.
+        Returns ``(flat, starts, sizes)``: query ``b + i`` examines
+        ``flat[starts[i]:starts[i] + sizes[i]]``, each row once.
         """
-        leaves: list[list[int]] = []
-        reached = np.empty((len(q64), len(self.trees)), dtype=np.int64)
-        for t, tree in enumerate(self.trees):
-            stack = [(tree.root, np.arange(len(q64)))]
-            while stack:
-                node, idx = stack.pop()
-                if node.children is None:  # a root leaf; other leaves are listed by their parent
-                    reached[idx, t] = len(leaves)
-                    leaves.append(node.rows)
-                    continue
-                best = node.child_distances(q64[idx]).argmin(axis=1)
-                lines = []  # table line of each leaf child, -1 for an internal one
-                for c, child in enumerate(node.children):
-                    if child.children is None:
-                        lines.append(len(leaves))
-                        leaves.append(child.rows)
-                    else:
-                        lines.append(-1)
-                        group = idx[best == c]
-                        if len(group):
-                            stack.append((child, group))
-                # Queries sent to an internal child are written again below it.
-                reached[idx, t] = np.array(lines)[best]
-        return _padded(leaves), reached
+        parts = []
+        starts = np.empty(e - b, dtype=np.int64)
+        sizes = np.empty(e - b, dtype=np.int64)
+        offset = 0
+        for s in range(0, e - b, _CHUNK):
+            rows = descent.leaf_union(b + s, min(b + s + _CHUNK, e))
+            kept = rows >= 0
+            count = kept.sum(axis=1)
+            # A query whose leaves hold fewer than `budget` words walks instead.
+            short = np.flatnonzero(count < budget)
+            kept[short] = False
+            count[short] = 0
+            parts.append(rows[kept])
+            sizes[s : s + len(count)] = count
+            starts[s : s + len(count)] = offset + np.cumsum(count) - count
+            offset += int(count.sum())
+            for i in (s + short).tolist():
+                walked = self._best_bin_first(q64[b + i, None], budget, descent.walk_start(b + i))
+                parts.append(np.array(walked, dtype=np.int64))
+                starts[i], sizes[i] = offset, len(walked)
+                offset += len(walked)
+        return np.concatenate(parts), starts, sizes
 
 
-def _padded(lists, width: int = 0) -> np.ndarray:
-    """Row lists as one table of at least ``width`` columns, a line per list, padded with -1."""
-    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    table = np.full((len(lists), max(int(sizes.max()), width)), -1, dtype=np.int64)
-    table[np.arange(table.shape[1]) < sizes[:, None]] = np.fromiter(
-        chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum())
-    )
+class _FrameDescent:
+    """Every tree descended once by all ``(n, words)`` queries together.
+
+    Keeps the leaf each query reaches in each tree and, for every node a
+    query passes, the sibling cursor :meth:`HammingForest._best_bin_first`
+    would push there, from the distances the grouped descent computed.
+    """
+
+    def __init__(self, trees: list[HammingTree], q64: np.ndarray):
+        leaves: list[TreeNode] = []
+        self.reached = np.empty((len(q64), len(trees)), dtype=np.int64)
+        self._visits = []  # (queries, children, masked distances, nearest unexplored distance)
+        for t, tree in enumerate(trees):
+            tree_leaves, tree_reached = _descend(tree.root, q64, self._visit)
+            self.reached[:, t] = tree_reached + len(leaves)
+            leaves.extend(tree_leaves)
+        self.leaves = [leaf.rows for leaf in leaves]
+        self._leaf_size = np.fromiter(map(len, self.leaves), dtype=np.int64, count=len(leaves))
+        self._leaf_flat = np.fromiter(
+            chain.from_iterable(self.leaves), dtype=np.int64, count=int(self._leaf_size.sum())
+        )
+        self._leaf_start = np.cumsum(self._leaf_size) - self._leaf_size
+
+        # Each query's visits in visit order: tree order, then top-down.
+        sizes = [len(v[0]) for v in self._visits]
+        query = np.concatenate([np.empty(0, dtype=np.int64), *(v[0] for v in self._visits)])
+        order = np.argsort(query, kind="stable")
+        self._bounds = np.searchsorted(query[order], np.arange(len(q64) + 1)).tolist()
+        self._visit_of = np.repeat(np.arange(len(sizes)), sizes)[order]
+        self._line_of = (np.arange(len(query)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[order]
+        self._key_of = np.concatenate([np.empty(0, dtype=np.int32), *(v[3] for v in self._visits)])[order]
+
+    def _visit(self, node: TreeNode, idx: np.ndarray, d: np.ndarray, best: np.ndarray) -> None:
+        if len(node.children) > 1:
+            d[np.arange(len(idx)), best] = _MASKED
+            self._visits.append((idx, node.children, d, d.min(axis=1)))
+
+    def leaf_union(self, s: int, e: int) -> np.ndarray:
+        """The distinct store rows of the leaves each of the queries ``s``
+        to ``e`` reaches, a line per query, in ascending order among -1s."""
+        reached = self.reached[s:e]
+        rows = _lines(self._leaf_flat, self._leaf_start[reached], self._leaf_size[reached])
+        rows.sort(axis=1)
+        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+        return rows
+
+    def walk_start(self, i: int):
+        """The ``start`` of query ``i``'s :meth:`HammingForest._best_bin_first` walk."""
+        a, z = self._bounds[i], self._bounds[i + 1]
+        pushed = [
+            (key, _SiblingCursor(self._visits[v][1], self._visits[v][2][line]))
+            for v, line, key in zip(
+                self._visit_of[a:z].tolist(), self._line_of[a:z].tolist(), self._key_of[a:z].tolist()
+            )
+        ]
+        return pushed, [self.leaves[j] for j in self.reached[i].tolist()]
+
+
+def _lines(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """A table of ``(m, s)`` runs of ``flat``: line ``i`` joins the runs
+    ``flat[starts[i, j]:starts[i, j] + sizes[i, j]]`` in order, and every
+    line is padded with -1 to the longest."""
+    lengths = sizes.sum(axis=1)
+    table = np.full((len(sizes), int(lengths.max())), -1, dtype=np.int64)
+    sizes = sizes.ravel()
+    ends = np.cumsum(sizes)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = flat[
+        np.repeat(starts.ravel() + sizes - ends, sizes) + np.arange(ends[-1])
+    ]
     return table

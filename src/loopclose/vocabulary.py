@@ -176,26 +176,37 @@ class Vocabulary:
         The popcount of the word descriptor never increases; the match
         counter used by the temporary word policy is incremented.
         """
-        info = self.words.get(word_id)
-        if info is None:
-            raise KeyError(f"word {word_id} is not live")
-        self.forest.merge_and(word_id, q)
-        info.times_matched += 1
+        self.merge_words([word_id], np.asarray(q)[None])
+
+    def merge_words(self, word_ids: list[int], descs: np.ndarray) -> None:
+        """:meth:`merge_word` for each word id and descriptor row, in one call.
+
+        A word listed more than once ends as the AND of all its rows and
+        counts every match.  Every word is checked to be live before any
+        changes.
+        """
+        infos = [self.words.get(wid) for wid in word_ids]
+        if None in infos:
+            raise KeyError(f"word {word_ids[infos.index(None)]} is not live")
+        self.forest.merge_and_batch(word_ids, descs)
+        for info in infos:
+            info.times_matched += 1
 
     def add_temporary_words(
         self, features: FeatureSet, unmatched: Iterable[int], image_id: int, frame: int
     ) -> list[int]:
         """Insert unmatched descriptors as temporary words, updating the index."""
-        new_ids = []
-        for i in unmatched:
-            wid = self._next_id
-            self._next_id += 1
-            self.forest.insert(wid, features.descriptors[i].copy())
+        unmatched = list(unmatched)
+        new_ids = list(range(self._next_id, self._next_id + len(unmatched)))
+        if not new_ids:
+            return []
+        self.forest.insert_batch(new_ids, features.descriptors[unmatched])
+        self._next_id += len(new_ids)
+        for wid in new_ids:
             self.words[wid] = WordInfo(created_at=frame, times_matched=0)
             self._temporary.add(wid)
             self.postings[wid] = [(image_id, 1)]
-            self.image_term_totals[image_id] = self.image_term_totals.get(image_id, 0) + 1
-            new_ids.append(wid)
+        self.image_term_totals[image_id] = self.image_term_totals.get(image_id, 0) + len(new_ids)
         return new_ids
 
     def purge_temporaries(self, current_frame: int) -> list[int]:
@@ -275,8 +286,9 @@ class Vocabulary:
         matches, unmatched = self.assign_words(features) if len(features) else ([], [])
         scores = self._score_from_matches(matches, exclude)
 
-        for i, wid in matches:
-            self.merge_word(wid, features.descriptors[i])
+        if matches:
+            matched, wids = zip(*matches)
+            self.merge_words(list(wids), features.descriptors[list(matched)])
         added = self.add_temporary_words(features, unmatched, image_id, frame)
         deleted = self.purge_temporaries(frame)
 

@@ -340,12 +340,18 @@ class TestRansacMatchesLoop:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_infinite_keypoint_scores_nan(self):
-        # Every model scores NaN against an infinite keypoint; none wins.
+        # An infinite coordinate scores as a NaN one does: an infinite
+        # error, so that match is an outlier to every model and the fit is
+        # the one with a NaN at the same match.
         rng = np.random.default_rng(26)
         pa, pb = two_view_with_outliers(rng, 100)
+        pb_nan = pb.copy()
+        pb_nan[7, 1] = np.nan
         pb[7, 1] = np.inf
-        f, _ = assert_ransac_matches_loop(pa, pb, RansacParams(seed=0))
-        assert f is None
+        f_nan, mask_nan = assert_ransac_matches_loop(pa, pb_nan, RansacParams(seed=0))
+        f, mask = ransac_fundamental(pa, pb, RansacParams(seed=0))
+        assert f_nan is not None and np.array_equal(f, f_nan)
+        assert np.array_equal(mask, mask_nan) and not mask[7] and mask.sum() >= 8
 
     def test_nan_score_never_wins(self, monkeypatch):
         # The first hypothesis of every chunk scores NaN, in both forms;

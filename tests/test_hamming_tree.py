@@ -393,7 +393,7 @@ class TestSearch:
         assert runs[0] == runs[1]
 
 
-def churned_forest(kind, num_trees, seed):
+def churned_forest(kind, num_trees, seed, leaf_capacity=40):
     """A forest after inserts, removals and in-place merges, and queries for it.
 
     The descriptors are clustered or uniform, with exact duplicates, and a
@@ -407,7 +407,9 @@ def churned_forest(kind, num_trees, seed):
         descs = random_descriptors(rng, 1200)
     descs[rng.integers(1200, size=150)] = descs[rng.integers(1200, size=150)]
     descs = descs[rng.permutation(len(descs))]
-    forest = HammingForest(leaf_capacity=40, branching=6, num_trees=num_trees, budget=64, seed=seed)
+    forest = HammingForest(
+        leaf_capacity=leaf_capacity, branching=6, num_trees=num_trees, budget=64, seed=seed
+    )
     forest.build({i: descs[i] for i in range(500)})
     for i in range(500, 1200):
         forest.insert(i, descs[i])
@@ -470,6 +472,57 @@ class TestBatchSearch:
         walks.clear()
         forest.knn_search_batch(queries, 2, len(forest))
         assert walks == []
+
+    def test_seeded_walks_examine_the_rows_of_unseeded_walks(self):
+        # The batch resumes each short query's walk from its own descent;
+        # the walk examines the rows a walk descending every tree again does.
+        for kind, num_trees, budgets in (
+            ("clustered", 4, (64, 200)),
+            ("uniform", 2, (32, 64)),
+            ("clustered", 1, (16, 32)),
+        ):
+            forest, queries = churned_forest(kind, num_trees, seed=40 + num_trees)
+            walk = forest._best_bin_first
+            for budget in budgets:
+                walks = []
+                forest._best_bin_first = lambda *args: walks.append((args, walk(*args))) or walks[-1][1]
+                forest.knn_search_batch(queries, 2, budget)
+                del forest._best_bin_first
+                short = [i for i, q in enumerate(queries) if len(initial_leaf_rows(forest, q)) < budget]
+                assert len(walks) == len(short) > 0
+                for (q64, walk_budget, start), rows in walks:
+                    assert start is not None and walk_budget == budget
+                    assert sorted(rows) == sorted(walk(q64, budget))
+
+    @pytest.mark.parametrize(
+        "num_trees, leaf_capacity, budget, k",
+        [(2, 40, 64, 5), (4, 4, 6, 10)],
+        ids=["walked-lines-widest", "k-above-rows"],
+    )
+    def test_ranking_tables_as_wide_as_their_rows(self, num_trees, leaf_capacity, budget, k):
+        # Queries are ranked in chunks ordered by row count, each table as
+        # wide as its longest line: with two trees of leaves under 40 words,
+        # leaf-answered queries hold 64..78 rows and walked ones up to 102;
+        # with leaves under 4 words some queries hold fewer rows than k.
+        forest, queries = churned_forest("clustered", num_trees, seed=39, leaf_capacity=leaf_capacity)
+        leaf_sizes = np.array([len(initial_leaf_rows(forest, q)) for q in queries])
+        walked = leaf_sizes < budget
+        walk_sizes = [len(forest._best_bin_first(q[None].view(np.uint64), budget)) for q in queries]
+        sizes = np.where(walked, walk_sizes, leaf_sizes)
+        assert walked.any() and not walked.all()
+        if k == 5:
+            assert sizes[walked].max() > sizes[~walked].max()
+        else:
+            assert (sizes[walked] < k).any() and (sizes[~walked] < k).any()
+        tables = []
+        top_k = forest.store.top_k
+        forest.store.top_k = lambda q64, rows, k: tables.append(rows) or top_k(q64, rows, k)
+        ids, dists = forest.knn_search_batch(queries, k, budget)
+        assert all(t.shape[1] == (t >= 0).sum(axis=1).max() for t in tables)
+        exp_ids, exp_dists = per_query_answers(forest, queries, k, budget)
+        np.testing.assert_array_equal(ids, exp_ids)
+        np.testing.assert_array_equal(dists, exp_dists)
+        assert (ids == -1).any() == (k == 10)
 
     def test_fewer_words_than_k_padded(self):
         rng = np.random.default_rng(35)
@@ -595,6 +648,59 @@ class TestInsert:
         for i in rng.choice(1100, size=100, replace=False):
             got = forest.knn_search(descs[i], 1, budget=len(forest))
             assert got[0].distance == 0
+
+    def test_batch_equals_sequential_inserts(self):
+        # Sixty near copies of one word overflow its leaf (capacity 40), so
+        # later words of the batch descend below a leaf an earlier word of
+        # it rebuilt; the trees, leaf lookups, store rows and rng state are
+        # those of inserting the words one by one.
+        batched, single = (churned_forest("clustered", 4, seed=38)[0] for _ in range(2))
+        rng = np.random.default_rng(38)
+        base = batched.descriptor(next(iter(batched.store.word_ids)))
+        descs = np.concatenate([
+            flip_random_bits(rng, np.tile(base, (60, 1)), 3),
+            random_descriptors(rng, 40),
+        ])
+        word_ids = list(range(5000, 5100))
+        resumed = []
+        for tree in batched.trees:
+            tree.place = lambda w, q, leaf, place=tree.place: (
+                resumed.append(not leaf.is_leaf) or place(w, q, leaf)
+            )
+        batched.insert_batch(word_ids, descs)
+        for word_id, desc in zip(word_ids, descs):
+            single.insert(word_id, desc)
+        assert sum(resumed) > 0
+        assert [t.dump() for t in batched.trees] == [t.dump() for t in single.trees]
+        for a, b in zip(batched.trees, single.trees):
+            assert {w: leaf.rows for w, leaf in a._leaf_of.items()} == {
+                w: leaf.rows for w, leaf in b._leaf_of.items()
+            }
+        assert all(batched.store.row(w) == single.store.row(w) for w in single.store.word_ids)
+        assert np.array_equal(batched.store._data, single.store._data)
+        assert batched.rng.integers(1 << 62) == single.rng.integers(1 << 62)
+        check_forest_invariants(batched, leaf_capacity=40)
+
+    def test_refused_batch_leaves_the_forest_unchanged(self):
+        rng = np.random.default_rng(39)
+        descs = random_descriptors(rng, 40)
+        forest = make_forest(descs[:30], seed=39, leaf_capacity=8, num_trees=2)
+
+        def state():
+            return sorted(forest.store.word_ids), [t.dump() for t in forest.trees]
+
+        before = state()
+        for word_ids, match in (
+            ([30, 31, 30], "given twice"),
+            ([30, 5], "already stored"),
+            ([30, -1], "outside"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                forest.insert_batch(word_ids, descs[30 : 30 + len(word_ids)])
+            assert state() == before
+        with pytest.raises(ValueError, match="descriptors"):
+            forest.insert_batch([30, 31], descs[30:33])
+        assert state() == before
 
     def test_duplicate_insert_rejected(self):
         rng = np.random.default_rng(15)

@@ -163,6 +163,27 @@ class TestMerge:
         with pytest.raises(KeyError):
             vocab.merge_word(99, random_descriptors(rng, 1)[0])
 
+    def test_merge_words_equals_one_merge_per_match(self):
+        # Repeated words fold every row and count every match; a batch
+        # naming a dead word changes nothing.
+        rng = np.random.default_rng(38)
+        fs = random_feature_set(rng, 10)
+        batched, single = Vocabulary(fs, SMALL), Vocabulary(fs, SMALL)
+        word_ids = [3, 7, 3, 0, 3, 7]
+        descs = random_descriptors(rng, len(word_ids))
+        batched.merge_words(word_ids, descs)
+        for wid, desc in zip(word_ids, descs):
+            single.merge_word(wid, desc)
+        for wid in range(10):
+            assert np.array_equal(batched.descriptor(wid), single.descriptor(wid))
+            assert batched.words[wid].times_matched == single.words[wid].times_matched
+        assert batched.words[3].times_matched == 3
+        before = [(batched.descriptor(w), batched.words[w].times_matched) for w in range(10)]
+        with pytest.raises(KeyError, match="99"):
+            batched.merge_words([1, 99], random_descriptors(rng, 2))
+        after = [(batched.descriptor(w), batched.words[w].times_matched) for w in range(10)]
+        assert all(np.array_equal(a[0], b[0]) and a[1] == b[1] for a, b in zip(before, after))
+
 
 class TestTemporaryLifecycle:
     def test_add_temporaries_grows_vocab(self):
