@@ -16,27 +16,32 @@ the store's row -> id array where needed.
 A frame's descriptors are searched together by
 :meth:`HammingForest.knn_search_batch`, which descends every tree once:
 all queries go down together, grouped by nearest child at each node
-(:func:`_descend`).  A query whose reached leaves already hold ``budget``
-distinct words would pop nothing from the queue, so it is answered from
-those leaves.  Any other query walks, its queue seeded with the sibling
-cursors its own walk would push, from the distances the grouped descent
-computed, so no tree is descended twice.  Each query's distinct rows are
-then ranked by ``top_k`` in chunks of queries ordered by row count within
-a block, each table only as wide as its longest line, so both searches
-give the same answers.
+(:func:`_descend`).  ``top_k`` ranks each query's reached leaves as one
+line of store rows, counting a row reached in several trees once.  A query
+whose leaves hold at least ``budget`` distinct words would pop nothing
+from the queue, so that answer stands.  Any other query walks, its queue
+seeded with the sibling cursors its own walk would push, from the
+distances the grouped descent computed, and is ranked again from its
+walked rows; so both searches give the same answers.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and
 an internal node whose recorded centre word is deleted reselects a new
 centre from its remaining subtree).  :meth:`HammingForest.insert_batch`
-descends each tree once with all of a batch's words, then places them
-word by word, so the trees and rng draws are those of one insert per
-word; :meth:`HammingForest.insert` is its one-word case.
+places a batch's words word by word, so the trees and rng draws are those
+of one insert per word.  A frame's new words are queries of its search,
+so they go into the leaves that search reached, without a second descent.
 
-Concurrency contract: searches, per-query and batched, write no forest
-state and may run concurrently; the one write either makes is the
-idempotent fill of a node's cached centre matrix.  Any mutation (insert, remove, descriptor
-merge) requires exclusive access to the forest.  Enforcement is up to the
+Concurrency contract: searches, per-query and batched, change no tree
+and may run concurrently.  They write the idempotent fill of a node's
+cached centre matrix and, for a batch, the forest's record of the leaves
+its queries reached.  An insert uses that record only while the forest's
+shape epoch is unchanged (``build``, ``insert_batch`` and ``remove`` bump
+it; merges do not, as node centres are snapshots), and only for
+descriptors equal to the recorded queries: a descent depends on nothing
+else, so a record a concurrent batch overwrote is still right.  The
+insert releases it.  Any mutation (insert, remove, descriptor merge)
+requires exclusive access to the forest.  Enforcement is up to the
 embedder.
 """
 
@@ -71,8 +76,7 @@ _MASKED = 1 << 30  # sentinel distance for the already-descended child
 
 NO_DISTANCE = np.iinfo(np.int32).max  # distance padding of batch answers with fewer than k words
 _NO_KEY = np.iinfo(np.int64).max  # packed key of padding and duplicate rows
-_CHUNK = 32  # queries scored together; bounds the scoring temporaries to about 1 MB
-_BLOCK = 4 * _CHUNK  # queries whose examined rows are held at once; bounds them to about 1 MB
+_CHUNK = 32  # queries ranked together; bounds the ranking temporaries to about 1 MB
 
 
 class _SiblingCursor:
@@ -198,19 +202,29 @@ class DescriptorStore:
     def live_rows(self) -> np.ndarray:
         return np.flatnonzero(self._word_of >= 0)
 
-    def top_k(self, q64: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def top_k(
+        self, q64: np.ndarray, rows: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``k`` nearest words to each of ``(m, words)`` queries, in (distance, id) order.
 
-        ``rows`` is 1-D (the rows compared with every query) or ``(m, r)``
-        (each query's own rows, -1 marking none); a query must list a row
-        at most once.  Returns ``(ids, dists)``, both ``(m, k)``, padded
-        with -1 and ``NO_DISTANCE`` past the rows a query has.
+        ``rows`` is 1-D (distinct rows compared with every query) or
+        ``(m, r)``: each query's own rows, -1 marking none, a row listed
+        any number of times; a line's keys are sorted once and its repeats
+        blanked.  Returns ``(ids, dists, counts)``: ``(m, k)`` ids and
+        distances, padded with -1 and ``NO_DISTANCE`` past the words a
+        query has, and the number of distinct rows of each query.
         """
         id_bits = self.id_bits
         keys = plane_distances(q64, self._data64, rows).astype(np.int64) << id_bits
         keys |= self._word_of[rows]
         if rows.ndim == 2:
+            # A row's key is unique to it, so repeats sort next to each other.
             keys[rows < 0] = _NO_KEY
+            keys.sort(axis=1)
+            keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = _NO_KEY
+            counts = (keys != _NO_KEY).sum(axis=1)
+        else:
+            counts = np.full(len(keys), len(rows))
         if keys.shape[1] > k:
             keys = np.partition(keys, k - 1, axis=1)[:, :k]
         keys.sort(axis=1)
@@ -219,7 +233,7 @@ class DescriptorStore:
         dists = np.full((len(keys), k), NO_DISTANCE, dtype=np.int32)
         ids[:, : keys.shape[1]] = np.where(found, keys & ((1 << id_bits) - 1), -1)
         dists[:, : keys.shape[1]] = np.where(found, keys >> id_bits, NO_DISTANCE)
-        return ids, dists
+        return ids, dists, counts
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
         return self._data[rows]
@@ -269,14 +283,14 @@ class TreeNode:
         """Hamming distances from ``(m, words)`` queries (``uint64`` views) to each
         child's centre: an ``(m, children)`` matrix."""
         # The centres are cached word-major, a (words, children) uint64
-        # matrix, so the popcounts of one (words, m, children) XOR are
-        # summed over its leading axis: as few numpy calls as one query
-        # needs, and contiguous adds for a frame's worth of queries.
+        # matrix, and the XOR is built word-major too, (words, children, m),
+        # so its popcounts are summed over the leading axis in contiguous
+        # adds along the queries: as few numpy calls as one query needs.
         if self._centre_mat is None:
             self._centre_mat = np.stack([c.centre for c in self.children]).view(np.uint64).T.copy()
-        return np.bitwise_count(q64.T[:, :, None] ^ self._centre_mat[:, None, :]).sum(
+        return np.bitwise_count(self._centre_mat[:, :, None] ^ q64.T[:, None, :]).sum(
             axis=0, dtype=np.int32
-        )
+        ).T
 
     def invalidate(self) -> None:
         self._centre_mat = None
@@ -502,6 +516,10 @@ class HammingForest:
         self.trees = [
             HammingTree(self.store, branching, leaf_capacity, self.rng) for _ in range(num_trees)
         ]
+        self._shape_epoch = 0  # bumped by every change of a tree's shape or centres
+        # The last batch search, if any: (epoch, copy of its (n, words)
+        # queries, (n, trees) index in `leaves` of each one's leaves, leaves).
+        self._searched = None
 
     def __len__(self) -> int:
         return len(self.store)
@@ -518,6 +536,7 @@ class HammingForest:
         """
         for word_id, desc in words.items():
             self.store.check_new(word_id, desc)
+        self._shape_epoch += 1
         for word_id, desc in words.items():
             self.store.add(word_id, desc)
         ids = list(self.store.word_ids)
@@ -527,15 +546,20 @@ class HammingForest:
     def insert(self, word_id: int, desc: np.ndarray) -> None:
         self.insert_batch([word_id], np.asarray(desc)[None])
 
-    def insert_batch(self, word_ids, descs: np.ndarray) -> None:
+    def insert_batch(self, word_ids, descs: np.ndarray, searched=None) -> None:
         """Store words and insert them into every tree, with the trees and
         rng draws that inserting them one by one, in order, would give.
 
         Every id and descriptor is checked before the first is stored, so
-        a refused batch leaves the forest as it was.  Each tree is
-        descended once by the whole batch; the words are then placed word
-        by word, each in every tree in turn, and a word whose leaf an
+        a refused batch leaves the forest as it was.  The words are placed
+        word by word, each in every tree in turn, and a word whose leaf an
         earlier word of the batch rebuilt descends on from that leaf.
+
+        ``searched`` may give each word's index among the queries of the
+        last :meth:`knn_search_batch`; the leaves they reached are used if
+        no tree changed shape since and the descriptors equal those
+        queries.  Otherwise each tree is descended once by the whole batch.
+        Either way the search's record is released.
         """
         word_ids = list(word_ids)
         descs = np.asarray(descs, dtype=np.uint8)
@@ -547,19 +571,40 @@ class HammingForest:
             if word_id in checked:
                 raise ValueError(f"word {word_id} given twice")
             checked.add(word_id)
+        q64 = np.ascontiguousarray(descs).view(np.uint64)
+        targets = self._searched_leaves(q64, searched)
+        self._searched = None
+        self._shape_epoch += 1
         for word_id, desc in zip(word_ids, descs):
             self.store.add(word_id, desc)
-        q64 = np.ascontiguousarray(descs).view(np.uint64)
-        targets = []
-        for tree in self.trees:
-            leaves, reached = _descend(tree.root, q64)
-            targets.append([leaves[i] for i in reached.tolist()])
+        if targets is None:
+            targets = []
+            for tree in self.trees:
+                leaves, reached = _descend(tree.root, q64)
+                targets.append([leaves[i] for i in reached.tolist()])
         for i, word_id in enumerate(word_ids):
             q = q64[i, None]
             for tree, leaves in zip(self.trees, targets):
                 tree.place(word_id, q, leaves[i])
 
+    def _searched_leaves(self, q64: np.ndarray, searched) -> list[list[TreeNode]] | None:
+        """Per tree, the leaf each descriptor reached as the last batch
+        search's queries ``searched``, if that search is still valid for them."""
+        if searched is None or self._searched is None:
+            return None
+        epoch, queries, reached, leaves = self._searched
+        searched = np.asarray(searched, dtype=np.int64)
+        if (
+            epoch != self._shape_epoch
+            or searched.shape != (len(q64),)
+            or not ((searched >= 0) & (searched < len(queries))).all()
+            or not np.array_equal(queries[searched], q64)
+        ):
+            return None
+        return [[leaves[j] for j in column] for column in reached[searched].T.tolist()]
+
     def remove(self, word_id: int) -> None:
+        self._shape_epoch += 1
         for tree in self.trees:
             tree.remove(word_id)
         self.store.remove(word_id)
@@ -602,7 +647,7 @@ class HammingForest:
             rows = self.store.live_rows()
         else:
             rows = np.array(self._best_bin_first(q64, budget), dtype=np.int64)
-        ids, dists = self.store.top_k(q64, rows, min(k, len(rows)))
+        ids, dists, _ = self.store.top_k(q64, rows, min(k, len(rows)))
         return list(map(Neighbor, ids[0].tolist(), dists[0].tolist()))
 
     def _best_bin_first(self, q64: np.ndarray, budget: int, start=None) -> list[int]:
@@ -656,22 +701,22 @@ class HammingForest:
         words found.
 
         Each tree is descended once, by all queries together, grouped by
-        their nearest child at every node.  A query whose reached leaves
-        hold at least ``budget`` distinct words is answered from them: the
-        walk would pop no queued sibling and examine exactly those words.
-        The other queries walk as :meth:`knn_search` does, resuming from
-        the batch descent.  Each query's rows are ranked by
-        :meth:`DescriptorStore.top_k` in chunks of queries ordered by row
-        count within a block of ``_BLOCK`` queries, so each table is only
-        as wide as its longest line.  A
-        budget covering the live vocabulary ranks every live word, as
-        :meth:`knn_search` does.
+        their nearest child at every node.  Every query's reached leaves
+        are ranked as one line by :meth:`DescriptorStore.top_k`, which
+        counts each row once.  A query whose line holds at least
+        ``budget`` distinct words keeps that answer: the walk would pop no
+        queued sibling and examine exactly those words.  The other queries
+        walk as :meth:`knn_search` does, resuming from the batch descent,
+        and are ranked again from their walked rows.  A budget covering
+        the live vocabulary ranks every live word, as :meth:`knn_search`
+        does.  The reached leaves are kept for :meth:`insert_batch`.
         """
         queries = np.asarray(queries, dtype=np.uint8)
         if queries.ndim != 2 or queries.shape[1] != self.store.nbytes:
             raise ValueError(
                 f"descriptor width mismatch: queries {queries.shape[-1] * 8} bits, forest {self.width}"
             )
+        self._searched = None
         k = max(k, 0)
         n = len(queries)
         ids = np.full((n, k), -1, dtype=np.int64)
@@ -685,82 +730,86 @@ class HammingForest:
             rows = self.store.live_rows()
             for s in range(0, n, _CHUNK):
                 chunk = slice(s, s + _CHUNK)
-                ids[chunk], dists[chunk] = self.store.top_k(q64[chunk], rows, k)
+                ids[chunk], dists[chunk], _ = self.store.top_k(q64[chunk], rows, k)
             return ids, dists
         descent = _FrameDescent(self.trees, q64)
-        # Rows are gathered a block of queries at a time, which bounds
-        # their memory; within a block, queries of similar row counts are
-        # ranked together.
-        for b in range(0, n, _BLOCK):
-            flat, starts, sizes = self._examined_rows(q64, budget, descent, b, min(b + _BLOCK, n))
-            order = np.argsort(sizes, kind="stable")
-            for s in range(0, len(order), _CHUNK):
-                chunk = order[s : s + _CHUNK]
-                rows = _lines(flat, starts[chunk, None], sizes[chunk, None])
-                ids[b + chunk], dists[b + chunk] = self.store.top_k(q64[b + chunk], rows, k)
+        reached = descent.reached
+        ids, dists, counts = self._rank_lines(
+            q64, descent.leaf_flat, descent.leaf_start[reached], descent.leaf_size[reached], k
+        )
+        short = np.flatnonzero(counts < budget)
+        if len(short):
+            walked = [
+                self._best_bin_first(q64[i, None], budget, descent.walk_start(i)) for i in short.tolist()
+            ]
+            sizes = np.fromiter(map(len, walked), dtype=np.int64, count=len(walked))
+            flat = np.fromiter(chain.from_iterable(walked), dtype=np.int64, count=int(sizes.sum()))
+            ids[short], dists[short], _ = self._rank_lines(
+                q64[short], flat, (np.cumsum(sizes) - sizes)[:, None], sizes[:, None], k
+            )
+        self._searched = (self._shape_epoch, q64.copy(), reached, descent.leaves)
         return ids, dists
 
-    def _examined_rows(
-        self, q64: np.ndarray, budget: int, descent: _FrameDescent, b: int, e: int
+    def _rank_lines(
+        self, q64: np.ndarray, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The store rows :meth:`_best_bin_first` examines for each of the
-        queries ``b`` to ``e``, resumed from ``descent``.
+        """:meth:`DescriptorStore.top_k` of each query over its own line of
+        rows, the runs ``flat[starts[i, j]:starts[i, j] + sizes[i, j]]``.
 
-        Returns ``(flat, starts, sizes)``: query ``b + i`` examines
-        ``flat[starts[i]:starts[i] + sizes[i]]``, each row once.
+        Queries are ranked in chunks of ``_CHUNK`` ordered by line length,
+        so each table is only as wide as its longest line.
         """
-        parts = []
-        starts = np.empty(e - b, dtype=np.int64)
-        sizes = np.empty(e - b, dtype=np.int64)
-        offset = 0
-        for s in range(0, e - b, _CHUNK):
-            rows = descent.leaf_union(b + s, min(b + s + _CHUNK, e))
-            kept = rows >= 0
-            count = kept.sum(axis=1)
-            # A query whose leaves hold fewer than `budget` words walks instead.
-            short = np.flatnonzero(count < budget)
-            kept[short] = False
-            count[short] = 0
-            parts.append(rows[kept])
-            sizes[s : s + len(count)] = count
-            starts[s : s + len(count)] = offset + np.cumsum(count) - count
-            offset += int(count.sum())
-            for i in (s + short).tolist():
-                walked = self._best_bin_first(q64[b + i, None], budget, descent.walk_start(b + i))
-                parts.append(np.array(walked, dtype=np.int64))
-                starts[i], sizes[i] = offset, len(walked)
-                offset += len(walked)
-        return np.concatenate(parts), starts, sizes
+        n = len(q64)
+        ids = np.empty((n, k), dtype=np.int64)
+        dists = np.empty((n, k), dtype=np.int32)
+        counts = np.empty(n, dtype=np.int64)
+        order = np.argsort(sizes.sum(axis=1), kind="stable")
+        for s in range(0, n, _CHUNK):
+            chunk = order[s : s + _CHUNK]
+            rows = _lines(flat, starts[chunk], sizes[chunk])
+            ids[chunk], dists[chunk], counts[chunk] = self.store.top_k(q64[chunk], rows, k)
+        return ids, dists, counts
 
 
 class _FrameDescent:
     """Every tree descended once by all ``(n, words)`` queries together.
 
-    Keeps the leaf each query reaches in each tree and, for every node a
-    query passes, the sibling cursor :meth:`HammingForest._best_bin_first`
-    would push there, from the distances the grouped descent computed.
+    Keeps the leaves some query reaches, with their rows flattened, the
+    one each query reaches in each tree and, for every node a query
+    passes, the sibling cursor :meth:`HammingForest._best_bin_first` would
+    push there, from the distances the grouped descent computed.
     """
 
     def __init__(self, trees: list[HammingTree], q64: np.ndarray):
-        leaves: list[TreeNode] = []
-        self.reached = np.empty((len(q64), len(trees)), dtype=np.int64)
+        listed: list[TreeNode] = []
+        reached = np.empty((len(q64), len(trees)), dtype=np.int64)
         self._visits = []  # (queries, children, masked distances, nearest unexplored distance)
         for t, tree in enumerate(trees):
             tree_leaves, tree_reached = _descend(tree.root, q64, self._visit)
-            self.reached[:, t] = tree_reached + len(leaves)
-            leaves.extend(tree_leaves)
-        self.leaves = [leaf.rows for leaf in leaves]
-        self._leaf_size = np.fromiter(map(len, self.leaves), dtype=np.int64, count=len(leaves))
-        self._leaf_flat = np.fromiter(
-            chain.from_iterable(self.leaves), dtype=np.int64, count=int(self._leaf_size.sum())
+            reached[:, t] = tree_reached + len(listed)
+            listed.extend(tree_leaves)
+        # A descent lists every leaf child of the nodes it visits; only the
+        # reached ones are kept, so the rows flattened are the frame's.
+        kept, reached = np.unique(reached, return_inverse=True)
+        self.reached = reached.reshape(len(q64), len(trees))
+        self.leaves = [listed[j] for j in kept.tolist()]
+        self.leaf_size = np.fromiter(
+            (len(leaf.rows) for leaf in self.leaves), dtype=np.int64, count=len(self.leaves)
         )
-        self._leaf_start = np.cumsum(self._leaf_size) - self._leaf_size
+        self.leaf_flat = np.fromiter(
+            chain.from_iterable(leaf.rows for leaf in self.leaves),
+            dtype=np.int64,
+            count=int(self.leaf_size.sum()),
+        )
+        self.leaf_start = np.cumsum(self.leaf_size) - self.leaf_size
+        self._bounds = None  # indexed on the first walk; many frames walk none
 
-        # Each query's visits in visit order: tree order, then top-down.
+    def _index_visits(self) -> None:
+        """Order every query's visits as its walk would: tree order, then top-down."""
         sizes = [len(v[0]) for v in self._visits]
         query = np.concatenate([np.empty(0, dtype=np.int64), *(v[0] for v in self._visits)])
         order = np.argsort(query, kind="stable")
-        self._bounds = np.searchsorted(query[order], np.arange(len(q64) + 1)).tolist()
+        self._bounds = np.searchsorted(query[order], np.arange(len(self.reached) + 1)).tolist()
         self._visit_of = np.repeat(np.arange(len(sizes)), sizes)[order]
         self._line_of = (np.arange(len(query)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[order]
         self._key_of = np.concatenate([np.empty(0, dtype=np.int32), *(v[3] for v in self._visits)])[order]
@@ -770,17 +819,10 @@ class _FrameDescent:
             d[np.arange(len(idx)), best] = _MASKED
             self._visits.append((idx, node.children, d, d.min(axis=1)))
 
-    def leaf_union(self, s: int, e: int) -> np.ndarray:
-        """The distinct store rows of the leaves each of the queries ``s``
-        to ``e`` reaches, a line per query, in ascending order among -1s."""
-        reached = self.reached[s:e]
-        rows = _lines(self._leaf_flat, self._leaf_start[reached], self._leaf_size[reached])
-        rows.sort(axis=1)
-        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
-        return rows
-
     def walk_start(self, i: int):
         """The ``start`` of query ``i``'s :meth:`HammingForest._best_bin_first` walk."""
+        if self._bounds is None:
+            self._index_visits()
         a, z = self._bounds[i], self._bounds[i + 1]
         pushed = [
             (key, _SiblingCursor(self._visits[v][1], self._visits[v][2][line]))
@@ -788,7 +830,7 @@ class _FrameDescent:
                 self._visit_of[a:z].tolist(), self._line_of[a:z].tolist(), self._key_of[a:z].tolist()
             )
         ]
-        return pushed, [self.leaves[j] for j in self.reached[i].tolist()]
+        return pushed, [self.leaves[j].rows for j in self.reached[i].tolist()]
 
 
 def _lines(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

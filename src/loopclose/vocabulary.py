@@ -200,7 +200,7 @@ class Vocabulary:
         new_ids = list(range(self._next_id, self._next_id + len(unmatched)))
         if not new_ids:
             return []
-        self.forest.insert_batch(new_ids, features.descriptors[unmatched])
+        self.forest.insert_batch(new_ids, features.descriptors[unmatched], unmatched)
         self._next_id += len(new_ids)
         for wid in new_ids:
             self.words[wid] = WordInfo(created_at=frame, times_matched=0)

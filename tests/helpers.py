@@ -49,7 +49,7 @@ def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> li
     rank every live word instead of walking."""
     q64 = np.ascontiguousarray(q).view(np.uint64)[None]
     rows = np.array(forest._best_bin_first(q64, budget), dtype=np.int64)
-    ids, dists = forest.store.top_k(q64, rows, min(k, len(rows)))
+    ids, dists, _ = forest.store.top_k(q64, rows, min(k, len(rows)))
     return [Neighbor(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist())]
 
 

@@ -13,7 +13,8 @@ from loopclose.bits import (
     popcount,
     random_descriptors,
 )
-from loopclose.hamming_tree import NO_DISTANCE, HammingForest
+from loopclose import hamming_tree
+from loopclose.hamming_tree import NO_DISTANCE, HammingForest, _FrameDescent
 
 from helpers import check_forest_invariants, initial_leaf_rows, linear_nn_distances, walk_answer
 
@@ -611,6 +612,89 @@ class TestBatchSearch:
         )
         assert differ == 0, f"{differ} of {len(batches)} concurrent batches differ"
 
+    def test_frame_descent_flattens_only_reached_leaves(self):
+        # A grouped descent lists every leaf child of the nodes it visits;
+        # only the leaves some query reaches are flattened, and a batch
+        # answers as before.
+        forest, queries = churned_forest("clustered", 4, seed=44)
+        for batch in (queries[:12], queries):
+            descent = _FrameDescent(forest.trees, batch.view(np.uint64))
+            reached = {id(leaf): leaf for q in batch for leaf in (t.descend_nearest(q) for t in forest.trees)}
+            assert sorted(map(id, descent.leaves)) == sorted(reached)
+            assert len(descent.leaf_flat) == sum(len(leaf.rows) for leaf in reached.values())
+            for i, q in enumerate(batch):
+                assert [descent.leaves[j] for j in descent.reached[i]] == [
+                    t.descend_nearest(q) for t in forest.trees
+                ]
+            ids, dists = forest.knn_search_batch(batch, 2)
+            exp_ids, exp_dists = per_query_answers(forest, batch, 2, forest.budget)
+            np.testing.assert_array_equal(ids, exp_ids)
+            np.testing.assert_array_equal(dists, exp_dists)
+        listed = sum(len(t.leaf_sizes()) for t in forest.trees)
+        small = _FrameDescent(forest.trees, queries[:12].view(np.uint64))
+        assert len(small.leaves) <= 12 * len(forest.trees) < listed
+
+
+class TestTopK:
+    def test_repeated_rows_rank_as_distinct_rows(self):
+        # A line may list a row more than once; it is ranked and counted
+        # as the line of its distinct rows, whatever k is, and all-padding
+        # lines give no words.
+        forest, queries = churned_forest("uniform", 2, seed=45)
+        store = forest.store
+        live = store.live_rows()
+        rng = np.random.default_rng(45)
+        q64 = queries[:40].view(np.uint64)
+        repeated = np.full((40, 30), -1, dtype=np.int64)
+        distinct = np.full((40, 30), -1, dtype=np.int64)
+        for i in range(40):
+            n = int(rng.integers(0, 31)) if i >= 3 else 0
+            line = rng.choice(live[:12], size=n)  # few rows, so repeats are common
+            repeated[i, :n] = line
+            unique = np.unique(line)
+            distinct[i, : len(unique)] = rng.permutation(unique)
+        assert (repeated >= 0).sum() > (distinct >= 0).sum()
+        for k in (1, 2, 5, 12, 30):
+            got = store.top_k(q64, repeated, k)
+            exp = store.top_k(q64, distinct, k)
+            for a, b in zip(got, exp):
+                np.testing.assert_array_equal(a, b, err_msg=f"k {k}")
+            assert got[2].tolist() == [len(set(line[line >= 0].tolist())) for line in repeated]
+            assert (got[0][:3] == -1).all() and (got[1][:3] == NO_DISTANCE).all()
+        assert ((got[2] > 0) & (got[2] < 12)).any()  # k = 12 and 30 exceed their distinct rows
+
+
+def forest_state(forest):
+    """Tree shapes, leaf lookups and store contents of a forest."""
+    return (
+        [t.dump() for t in forest.trees],
+        [{w: list(leaf.rows) for w, leaf in t._leaf_of.items()} for t in forest.trees],
+        {w: forest.store.row(w) for w in forest.store.word_ids},
+        forest.store._data.tobytes(),
+    )
+
+
+def root_descents(monkeypatch):
+    """Record the forest's descents that start at a tree root."""
+    roots = []
+    descend = hamming_tree._descend
+
+    def recording(node, q64, visit=None):
+        if node.parent is None:
+            roots.append(len(q64))
+        return descend(node, q64, visit)
+
+    monkeypatch.setattr(hamming_tree, "_descend", recording)
+    return roots
+
+
+def near_copies_batch(forest, seed):
+    """Sixty near copies of one stored word, which overflow its leaf
+    (capacity 40), then forty random descriptors."""
+    rng = np.random.default_rng(seed)
+    base = forest.descriptor(next(iter(forest.store.word_ids)))
+    return np.concatenate([flip_random_bits(rng, np.tile(base, (60, 1)), 3), random_descriptors(rng, 40)])
+
 
 class TestInsert:
     def test_append_without_restructure(self):
@@ -680,6 +764,70 @@ class TestInsert:
         assert np.array_equal(batched.store._data, single.store._data)
         assert batched.rng.integers(1 << 62) == single.rng.integers(1 << 62)
         check_forest_invariants(batched, leaf_capacity=40)
+
+    def test_insert_from_search_descent_equals_own_descent(self, monkeypatch):
+        # The search's reached leaves, handed to insert_batch after the
+        # frame's merges, place the words as a descent of the batch would:
+        # same trees, leaf lookups, store rows and rng state, also where a
+        # later word descends below a leaf an earlier word rebuilt.
+        handed, own = (churned_forest("clustered", 4, seed=46)[0] for _ in range(2))
+        descs = near_copies_batch(handed, seed=46)
+        rng = np.random.default_rng(46)
+        queries = np.concatenate([random_descriptors(rng, 50), descs])[rng.permutation(150)]
+        searched = np.flatnonzero((queries[:, None] == descs[None]).all(axis=2).any(axis=1))
+        searched = searched[rng.permutation(len(searched))]
+        descs = queries[searched]
+        merged_ids = list(handed.store.word_ids)[:30]
+        for forest in (handed, own):
+            forest.knn_search_batch(queries, 2)
+            forest.merge_and_batch(merged_ids, queries[:30])
+        word_ids = list(range(5000, 5000 + len(descs)))
+        roots = root_descents(monkeypatch)
+        resumed = []
+        for tree in handed.trees:
+            tree.place = lambda w, q, leaf, place=tree.place: (
+                resumed.append(not leaf.is_leaf) or place(w, q, leaf)
+            )
+        handed.insert_batch(word_ids, descs, searched)
+        assert roots == [] and sum(resumed) > 0
+        own.insert_batch(word_ids, descs)
+        assert roots == [len(descs)] * len(own.trees)
+        assert forest_state(handed) == forest_state(own)
+        assert handed.rng.integers(1 << 62) == own.rng.integers(1 << 62)
+        assert handed._searched is None
+        check_forest_invariants(handed, leaf_capacity=40)
+
+    @pytest.mark.parametrize("change", [None, "remove", "insert_batch", "build", "other_descriptors"])
+    def test_stale_search_descent_not_reused(self, change, monkeypatch):
+        # A remove, insert or build since the search changes the shape the
+        # recorded leaves belong to, and other descriptors than the searched
+        # ones reach other leaves: the batch then descends the trees itself,
+        # with the result of an insert given no search.
+        handed, own = (churned_forest("clustered", 4, seed=47)[0] for _ in range(2))
+        queries = near_copies_batch(handed, seed=47)
+        others = random_descriptors(np.random.default_rng(47), 2)
+        searched = np.arange(10, 90)
+        descs = queries[searched].copy()
+        if change == "other_descriptors":
+            descs[5, 0] ^= 1
+        for forest in (handed, own):
+            forest.knn_search_batch(queries, 2)
+            record = forest._searched
+            if change == "remove":
+                forest.remove(next(iter(forest.store.word_ids)))
+            elif change == "insert_batch":
+                forest.insert_batch([6000, 6001], others)
+                # The insert released the record; restored, only the shape
+                # epoch keeps it from use.
+                forest._searched = record
+            elif change == "build":
+                forest.build({6000: others[0]})
+        roots = root_descents(monkeypatch)
+        handed.insert_batch(range(7000, 7080), descs, searched)
+        assert roots == ([] if change is None else [len(descs)] * len(handed.trees))
+        own.insert_batch(range(7000, 7080), descs)
+        assert forest_state(handed) == forest_state(own)
+        assert handed.rng.integers(1 << 62) == own.rng.integers(1 << 62)
 
     def test_refused_batch_leaves_the_forest_unchanged(self):
         rng = np.random.default_rng(39)
