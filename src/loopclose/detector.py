@@ -254,10 +254,6 @@ class LoopDetector:
         self.consecutive_loops = 0
         self._t = 0
 
-    @property
-    def frame_count(self) -> int:
-        return self._t
-
     def _reject(self, frame: int, status: str, num_candidates: int = 0) -> LoopResult:
         self.consecutive_loops = 0
         self.previous_island = None

@@ -3,9 +3,10 @@
 Each tree recursively partitions the descriptor set around randomly chosen
 cluster centres by Hamming distance until clusters fall below the leaf
 capacity.  Several trees are built over the same word set and searched
-together: the query descends every tree once, unexplored children go onto
-a shared priority queue keyed by centre distance, and the search keeps
-popping the queue until a budget of distinct descriptors has been examined.
+together: the query descends every tree once, each node passed puts one
+plain entry for its unexplored children on a shared priority queue, keyed
+by the nearest one's centre distance, and the search keeps popping the
+queue until a budget of distinct descriptors has been examined.
 A descriptor reached through several trees is counted once: each search
 collects the store rows of the leaves it reaches in a set of its own.
 Every search ranks its rows with one kernel, :meth:`DescriptorStore.top_k`,
@@ -16,12 +17,13 @@ the store's row -> id array where needed.
 A frame's descriptors are searched together by
 :meth:`HammingForest.knn_search_batch`, which descends every tree once:
 all queries go down together, grouped by nearest child at each node
-(:func:`_descend`).  ``top_k`` ranks each query's reached leaves as one
-line of store rows, counting a row reached in several trees once.  A query
-whose leaves hold at least ``budget`` distinct words would pop nothing
-from the queue, so that answer stands.  Any other query walks, its queue
-seeded with the sibling cursors its own walk would push, from the
-distances the grouped descent computed, and is ranked again from its
+(:func:`_descend`).  A query whose reached leaves hold at least
+``budget`` rows in all has them ranked by ``top_k`` as one line of store
+rows, counting a row reached in several trees once; if they hold at least
+``budget`` distinct words the walk would pop nothing from the queue, so
+that answer stands.  Any other query walks.  One pass over the distances
+the grouped descent computed gives every walking query the queue entries
+its own walk would push, in the same order, and each is ranked from its
 walked rows; so both searches give the same answers.
 
 The structure is fully online: words can be inserted (overflowing leaves
@@ -79,35 +81,6 @@ _NO_KEY = np.iinfo(np.int64).max  # packed key of padding and duplicate rows
 _CHUNK = 32  # queries ranked together; bounds the ranking temporaries to about 1 MB
 
 
-class _SiblingCursor:
-    """Lazy heap entry standing for the unexplored children of one node.
-
-    Pushing every sibling eagerly costs far more than budgeted searches
-    ever pay back; a cursor enters the queue keyed by its cheapest
-    unexplored child and re-inserts itself keyed by the next one each
-    time it is popped.
-    """
-
-    __slots__ = ("children", "dists", "order", "pos")
-
-    def __init__(self, children, dists):
-        self.children = children
-        self.dists = dists
-        self.order = None
-        self.pos = 0
-
-    def next_child(self, heap, tick):
-        if self.order is None:
-            self.order = np.argsort(self.dists, kind="stable").tolist()
-        child = self.children[self.order[self.pos]]
-        self.pos += 1
-        if self.pos < len(self.order):
-            key = int(self.dists[self.order[self.pos]])
-            if key < _MASKED:
-                heapq.heappush(heap, (key, next(tick), self))
-        return child
-
-
 class DescriptorStore:
     """Flat storage of live descriptors, addressed by word id.
 
@@ -146,12 +119,22 @@ class DescriptorStore:
             raise ValueError(f"word id {word_id} is outside 0..2**{self.id_bits}-1")
         if word_id in self._row_of:
             raise ValueError(f"word {word_id} already stored")
-        desc = np.asarray(desc, dtype=np.uint8)
-        if desc.shape != (self.nbytes,):
+        return self.check_shape(desc)
+
+    def check_shape(self, descs, lead: tuple = ()) -> np.ndarray:
+        """``descs`` as uint8, refused unless shaped ``(*lead, nbytes)``: ``()``
+        for one descriptor, ``(m,)`` for ``m`` of them, ``(None,)`` for any number."""
+        descs = np.asarray(descs, dtype=np.uint8)
+        want = (*lead, self.nbytes)
+        # An exact match is tested first: a build checks every word twice.
+        if descs.shape != want and (
+            descs.ndim != len(want) or any(w not in (None, s) for w, s in zip(want, descs.shape))
+        ):
             raise ValueError(
-                f"descriptor width mismatch: got {desc.shape[-1] * 8} bits, store holds {self.nbytes * 8}"
+                f"descriptor width is {self.nbytes * 8} bits: expected descriptors shaped "
+                f"{str(want).replace('None', 'n')}, got {descs.shape}"
             )
-        return desc
+        return descs
 
     def add(self, word_id: int, desc: np.ndarray) -> int:
         desc = self.check_new(word_id, desc)
@@ -188,9 +171,7 @@ class DescriptorStore:
         as the AND of all its rows.  Every id is looked up before any row
         changes.
         """
-        qs = np.asarray(qs, dtype=np.uint8)
-        if qs.shape != (len(word_ids), self.nbytes):
-            raise ValueError("descriptor width mismatch in merge")
+        qs = self.check_shape(qs, (len(word_ids),))
         rows = [self._row_of[w] for w in word_ids]
         np.bitwise_and.at(self._data64, rows, np.ascontiguousarray(qs).view(np.uint64))
 
@@ -401,11 +382,6 @@ class HammingTree:
 
     # -- online updates -----------------------------------------------
 
-    def descend_nearest(self, q: np.ndarray) -> TreeNode:
-        """The leaf one descriptor reaches by nearest-child descent."""
-        leaves, reached = _descend(self.root, np.ascontiguousarray(q).view(np.uint64)[None])
-        return leaves[reached[0]]
-
     def place(self, word_id: int, q64: np.ndarray, leaf: TreeNode) -> None:
         """Insert a stored word whose ``(1, words)`` descriptor reached ``leaf``.
 
@@ -562,9 +538,7 @@ class HammingForest:
         Either way the search's record is released.
         """
         word_ids = list(word_ids)
-        descs = np.asarray(descs, dtype=np.uint8)
-        if descs.ndim != 2 or len(descs) != len(word_ids):
-            raise ValueError(f"{len(word_ids)} word ids need as many descriptors, got {descs.shape}")
+        descs = self.store.check_shape(descs, (len(word_ids),))
         checked = set()
         for word_id, desc in zip(word_ids, descs):
             self.store.check_new(word_id, desc)
@@ -633,15 +607,11 @@ class HammingForest:
         same result.  Results are sorted by ascending distance, ties by
         ascending id.
         """
+        q = self.store.check_shape(q)
         if len(self.store) == 0 or k <= 0:
             return []
         if budget is None:
             budget = self.budget
-        q = np.asarray(q, dtype=np.uint8)
-        if q.shape != (self.store.nbytes,):
-            raise ValueError(
-                f"descriptor width mismatch: query {q.shape[-1] * 8} bits, forest {self.width}"
-            )
         q64 = np.ascontiguousarray(q).view(np.uint64)[None]
         if budget >= len(self.store):
             rows = self.store.live_rows()
@@ -653,13 +623,18 @@ class HammingForest:
     def _best_bin_first(self, q64: np.ndarray, budget: int, start=None) -> list[int]:
         """Store rows the walk of :meth:`knn_search` examines for one ``(1, words)`` query.
 
+        A heap entry ``(key, tick, children, distances, pos)`` stands for
+        the unexplored children of one node: their centre distances, with
+        the children already taken masked, and ``pos``, the first child of
+        least distance ``key`` among the rest.  A popped entry is pushed
+        again for its next child before that child is descended, so ticks
+        order equal keys by push.
+
         Every tree is descended here, unless ``start`` resumes the walk
-        from a batch descent: ``(pushed, leaves)``, the ``(key, cursor)``
-        entries these descents would push, in push order, and the row
-        lists of the leaves they reach.
+        from a batch descent: ``(entries, leaves)``, the heap entries these
+        descents would push, ticked from 0 in push order, and the row lists
+        of the leaves they reach.  The walk takes the entries over.
         """
-        heap: list = []
-        tick = _counter()
         seen: set[int] = set()  # store rows examined, across trees
 
         def descend(node: TreeNode) -> None:
@@ -669,25 +644,31 @@ class HammingForest:
                 children = node.children
                 if len(children) > 1:
                     d[best] = _MASKED
-                    second = int(d.argmin())
-                    heapq.heappush(heap, (int(d[second]), next(tick), _SiblingCursor(children, d)))
+                    pos = int(d.argmin())
+                    heapq.heappush(heap, (int(d[pos]), next(tick), children, d, pos))
                 node = children[best]
             seen.update(node.rows)
 
         if start is None:
+            heap: list = []
+            tick = _counter()
             for tree in self.trees:
                 descend(tree.root)
         else:
-            pushed, leaves = start
+            heap, leaves = start
+            tick = _counter(len(heap))
             # Heap entries are distinct (key, tick) pairs, so they pop in
             # the same order however the heap was built.
-            heap.extend((key, next(tick), cursor) for key, cursor in pushed)
             heapq.heapify(heap)
             for rows in leaves:
                 seen.update(rows)
         while heap and len(seen) < budget:
-            _, _, cursor = heapq.heappop(heap)
-            descend(cursor.next_child(heap, tick))
+            _, _, children, d, pos = heapq.heappop(heap)
+            d[pos] = _MASKED
+            after = int(d.argmin())
+            if d[after] < _MASKED:
+                heapq.heappush(heap, (int(d[after]), next(tick), children, d, after))
+            descend(children[pos])
         return list(seen)
 
     def knn_search_batch(
@@ -701,21 +682,19 @@ class HammingForest:
         words found.
 
         Each tree is descended once, by all queries together, grouped by
-        their nearest child at every node.  Every query's reached leaves
-        are ranked as one line by :meth:`DescriptorStore.top_k`, which
-        counts each row once.  A query whose line holds at least
-        ``budget`` distinct words keeps that answer: the walk would pop no
-        queued sibling and examine exactly those words.  The other queries
-        walk as :meth:`knn_search` does, resuming from the batch descent,
-        and are ranked again from their walked rows.  A budget covering
-        the live vocabulary ranks every live word, as :meth:`knn_search`
-        does.  The reached leaves are kept for :meth:`insert_batch`.
+        their nearest child at every node.  A query whose reached leaves
+        hold at least ``budget`` rows in all has them ranked as one line
+        by :meth:`DescriptorStore.top_k`, which counts each row once.  If
+        the line holds at least ``budget`` distinct words that answer
+        stands: the walk would pop no queued sibling and examine exactly
+        those words.  The other queries, fewer leaf rows than ``budget``
+        among them, walk as :meth:`knn_search` does, resuming from the
+        batch descent, and are ranked from their walked rows.  A budget
+        covering the live vocabulary ranks every live word, as
+        :meth:`knn_search` does.  The reached leaves are kept for
+        :meth:`insert_batch`.
         """
-        queries = np.asarray(queries, dtype=np.uint8)
-        if queries.ndim != 2 or queries.shape[1] != self.store.nbytes:
-            raise ValueError(
-                f"descriptor width mismatch: queries {queries.shape[-1] * 8} bits, forest {self.width}"
-            )
+        queries = self.store.check_shape(queries, (None,))
         self._searched = None
         k = max(k, 0)
         n = len(queries)
@@ -734,13 +713,17 @@ class HammingForest:
             return ids, dists
         descent = _FrameDescent(self.trees, q64)
         reached = descent.reached
-        ids, dists, counts = self._rank_lines(
-            q64, descent.leaf_flat, descent.leaf_start[reached], descent.leaf_size[reached], k
+        sizes = descent.leaf_size[reached]
+        # Summed leaf sizes bound the distinct words, so only these can stand.
+        full = np.flatnonzero(sizes.sum(axis=1) >= budget)
+        ids[full], dists[full], counts = self._rank_lines(
+            q64[full], descent.leaf_flat, descent.leaf_start[reached[full]], sizes[full], k
         )
-        short = np.flatnonzero(counts < budget)
+        short = np.setdiff1d(np.arange(n), full[counts >= budget])
         if len(short):
             walked = [
-                self._best_bin_first(q64[i, None], budget, descent.walk_start(i)) for i in short.tolist()
+                self._best_bin_first(q64[i, None], budget, start)
+                for i, start in zip(short.tolist(), descent.seeds(short))
             ]
             sizes = np.fromiter(map(len, walked), dtype=np.int64, count=len(walked))
             flat = np.fromiter(chain.from_iterable(walked), dtype=np.int64, count=int(sizes.sum()))
@@ -775,15 +758,15 @@ class _FrameDescent:
     """Every tree descended once by all ``(n, words)`` queries together.
 
     Keeps the leaves some query reaches, with their rows flattened, the
-    one each query reaches in each tree and, for every node a query
-    passes, the sibling cursor :meth:`HammingForest._best_bin_first` would
-    push there, from the distances the grouped descent computed.
+    one each query reaches in each tree and, for every node with several
+    children, the centre distances of the queries passing it, from which
+    :meth:`seeds` builds the heap entries their walks would push.
     """
 
     def __init__(self, trees: list[HammingTree], q64: np.ndarray):
         listed: list[TreeNode] = []
         reached = np.empty((len(q64), len(trees)), dtype=np.int64)
-        self._visits = []  # (queries, children, masked distances, nearest unexplored distance)
+        self._visits = []  # (queries, children, their centre distances, nearest child)
         for t, tree in enumerate(trees):
             tree_leaves, tree_reached = _descend(tree.root, q64, self._visit)
             reached[:, t] = tree_reached + len(listed)
@@ -802,35 +785,35 @@ class _FrameDescent:
             count=int(self.leaf_size.sum()),
         )
         self.leaf_start = np.cumsum(self.leaf_size) - self.leaf_size
-        self._bounds = None  # indexed on the first walk; many frames walk none
-
-    def _index_visits(self) -> None:
-        """Order every query's visits as its walk would: tree order, then top-down."""
-        sizes = [len(v[0]) for v in self._visits]
-        query = np.concatenate([np.empty(0, dtype=np.int64), *(v[0] for v in self._visits)])
-        order = np.argsort(query, kind="stable")
-        self._bounds = np.searchsorted(query[order], np.arange(len(self.reached) + 1)).tolist()
-        self._visit_of = np.repeat(np.arange(len(sizes)), sizes)[order]
-        self._line_of = (np.arange(len(query)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[order]
-        self._key_of = np.concatenate([np.empty(0, dtype=np.int32), *(v[3] for v in self._visits)])[order]
 
     def _visit(self, node: TreeNode, idx: np.ndarray, d: np.ndarray, best: np.ndarray) -> None:
         if len(node.children) > 1:
-            d[np.arange(len(idx)), best] = _MASKED
-            self._visits.append((idx, node.children, d, d.min(axis=1)))
+            self._visits.append((idx, node.children, d, best))
 
-    def walk_start(self, i: int):
-        """The ``start`` of query ``i``'s :meth:`HammingForest._best_bin_first` walk."""
-        if self._bounds is None:
-            self._index_visits()
-        a, z = self._bounds[i], self._bounds[i + 1]
-        pushed = [
-            (key, _SiblingCursor(self._visits[v][1], self._visits[v][2][line]))
-            for v, line, key in zip(
-                self._visit_of[a:z].tolist(), self._line_of[a:z].tolist(), self._key_of[a:z].tolist()
-            )
+    def seeds(self, queries: np.ndarray) -> list[tuple[list, list]]:
+        """The ``start`` of each of ``queries``' :meth:`HammingForest._best_bin_first` walks.
+
+        One pass over the recorded visits, which run in tree order and
+        top-down within a tree, lists each query's heap entries in the
+        order its own walk would push them.
+        """
+        slot = np.full(len(self.reached), -1)
+        slot[queries] = np.arange(len(queries))
+        entries: list[list] = [[] for _ in range(len(queries))]
+        for idx, children, d, best in self._visits:
+            lines = np.flatnonzero(slot[idx] >= 0)
+            if len(lines) == 0:
+                continue
+            d = d[lines]  # a copy: each walk masks its own row
+            at = np.arange(len(lines))
+            d[at, best[lines]] = _MASKED
+            pos = d.argmin(axis=1)
+            for s, key, row, p in zip(slot[idx[lines]].tolist(), d[at, pos].tolist(), d, pos.tolist()):
+                entries[s].append((key, len(entries[s]), children, row, p))
+        return [
+            (heap, [self.leaves[j].rows for j in self.reached[i].tolist()])
+            for heap, i in zip(entries, queries.tolist())
         ]
-        return pushed, [self.leaves[j].rows for j in self.reached[i].tolist()]
 
 
 def _lines(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

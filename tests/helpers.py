@@ -11,7 +11,7 @@ import numpy as np
 
 from loopclose.bits import hamming, hamming_matrix
 from loopclose.geometry import EstimationFailedError, RansacParams
-from loopclose.hamming_tree import HammingForest, HammingTree, Neighbor, iter_leaves
+from loopclose.hamming_tree import HammingForest, HammingTree, Neighbor, TreeNode, iter_leaves
 from loopclose.imgproc import BORDER_MARGIN, FeatureSet, sampling_pattern
 
 
@@ -53,9 +53,19 @@ def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> li
     return [Neighbor(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist())]
 
 
+def plain_descent(tree: HammingTree, q: np.ndarray) -> TreeNode:
+    """The leaf one descriptor reaches, taking at each node the first child
+    of least Hamming distance to its centre."""
+    node = tree.root
+    while not node.is_leaf:
+        dists = [hamming(q, child.centre) for child in node.children]
+        node = node.children[dists.index(min(dists))]
+    return node
+
+
 def initial_leaf_rows(forest: HammingForest, q: np.ndarray) -> set[int]:
     """Store rows of the leaves one query reaches by plain descent, over all trees."""
-    return {r for tree in forest.trees for r in tree.descend_nearest(q).rows}
+    return {r for tree in forest.trees for r in plain_descent(tree, q).rows}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ from loopclose.bits import (
 from loopclose import hamming_tree
 from loopclose.hamming_tree import NO_DISTANCE, HammingForest, _FrameDescent
 
-from helpers import check_forest_invariants, initial_leaf_rows, linear_nn_distances, walk_answer
+from helpers import (
+    check_forest_invariants,
+    initial_leaf_rows,
+    linear_nn_distances,
+    plain_descent,
+    walk_answer,
+)
 
 GOLDEN_DUMP = """\
 node root
@@ -579,6 +585,68 @@ class TestBatchSearch:
         with pytest.raises(ValueError, match="width"):
             forest.knn_search_batch(np.zeros((3, 16), dtype=np.uint8), 2)
 
+    @pytest.mark.parametrize(
+        "call, expected, got",
+        [
+            (lambda f, d: f.knn_search(d[0, 0], 2), "(32,)", "()"),
+            (lambda f, d: f.knn_search_batch(d[0, 0], 2), "(n, 32)", "()"),
+            (lambda f, d: f.build({10: d[0, 0]}), "(32,)", "()"),
+            (lambda f, d: f.knn_search_batch(d[0], 2), "(n, 32)", "(32,)"),
+            (lambda f, d: f.knn_search(d[:2], 2), "(32,)", "(2, 32)"),
+            (lambda f, d: f.insert_batch([10, 11], d[:3]), "(2, 32)", "(3, 32)"),
+            (lambda f, d: f.merge_and_batch([0, 1], d[:1]), "(2, 32)", "(1, 32)"),
+        ],
+        ids=[
+            "search-0d",
+            "batch-0d",
+            "build-0d",
+            "batch-one-descriptor",
+            "search-two-descriptors",
+            "insert-count",
+            "merge-count",
+        ],
+    )
+    def test_descriptor_shape_refused(self, call, expected, got):
+        # One store check refuses every call given descriptors of the wrong
+        # shape, naming the expected and the received one.  Before, a 0-d
+        # descriptor raised IndexError, and a search given one descriptor
+        # too many or too few dimensions named two equal widths.
+        descs = random_descriptors(np.random.default_rng(47), 10)
+        forest = make_forest(descs, seed=47)
+        before = forest_state(forest)
+        with pytest.raises(ValueError, match="width") as refused:
+            call(forest, descs)
+        assert f"expected descriptors shaped {expected}, got {got}" in str(refused.value)
+        assert forest_state(forest) == before
+
+    def test_leaves_ranked_only_where_they_can_answer(self):
+        # A query's summed leaf sizes bound its distinct words, so a query
+        # whose leaves hold fewer than `budget` rows in all walks without
+        # its leaves being ranked.  Before, every query's leaves were ranked.
+        forest, queries = churned_forest("clustered", 4, seed=46)
+        budget = 64
+        summed = np.array(
+            [sum(len(plain_descent(t, q).rows) for t in forest.trees) for q in queries]
+        )
+        assert 0 < (summed < budget).sum() < len(queries)
+        leaf_lines = []
+        rank_lines = forest._rank_lines
+
+        def recording(q64, flat, starts, sizes, k):
+            if sizes.shape[1] == len(forest.trees):
+                leaf_lines.append(sizes.sum(axis=1))
+            return rank_lines(q64, flat, starts, sizes, k)
+
+        forest._rank_lines = recording
+        ids, dists = forest.knn_search_batch(queries, 2, budget)
+        del forest._rank_lines
+        ranked = np.concatenate(leaf_lines)
+        assert (ranked >= budget).all()
+        assert len(ranked) == (summed >= budget).sum()
+        exp_ids, exp_dists = per_query_answers(forest, queries, 2, budget)
+        np.testing.assert_array_equal(ids, exp_ids)
+        np.testing.assert_array_equal(dists, exp_dists)
+
     def test_concurrent_batches_match_sequential(self):
         # A batch writes nothing but node centre caches, so batches on
         # threads over a forest whose caches start empty give the answers
@@ -619,12 +687,12 @@ class TestBatchSearch:
         forest, queries = churned_forest("clustered", 4, seed=44)
         for batch in (queries[:12], queries):
             descent = _FrameDescent(forest.trees, batch.view(np.uint64))
-            reached = {id(leaf): leaf for q in batch for leaf in (t.descend_nearest(q) for t in forest.trees)}
+            reached = {id(leaf): leaf for q in batch for leaf in (plain_descent(t, q) for t in forest.trees)}
             assert sorted(map(id, descent.leaves)) == sorted(reached)
             assert len(descent.leaf_flat) == sum(len(leaf.rows) for leaf in reached.values())
             for i, q in enumerate(batch):
                 assert [descent.leaves[j] for j in descent.reached[i]] == [
-                    t.descend_nearest(q) for t in forest.trees
+                    plain_descent(t, q) for t in forest.trees
                 ]
             ids, dists = forest.knn_search_batch(batch, 2)
             exp_ids, exp_dists = per_query_answers(forest, batch, 2, forest.budget)
