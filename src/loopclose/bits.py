@@ -68,6 +68,8 @@ def flip_random_bits(rng: np.random.Generator, descs: np.ndarray, count: int) ->
     descs = np.atleast_2d(descs)
     n, nbytes = descs.shape
     width = nbytes * 8
+    if count < 0:
+        raise ValueError(f"cannot flip {count} bits: the count must be >= 0")
     if count == 0:
         return descs.copy()
     if count > width:

@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigError(f"corner_threshold must be in 0..255, got {self.corner_threshold}")
         if self.gt_tolerance is None:
             self.gt_tolerance = self.island_halfwidth
+        elif self.gt_tolerance < 0:
+            raise ConfigError(f"gt_tolerance must be >= 0, got {self.gt_tolerance}")
 
     def vocab_params(self) -> VocabParams:
         return VocabParams(

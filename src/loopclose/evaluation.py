@@ -64,13 +64,19 @@ def load_ground_truth(path) -> dict[int, list[int]]:
     t -> k) or a pair list with one ``t k`` pair per line.  Loops only
     point backward in time; entries referencing the current or a later
     frame (e.g. the upper triangle of a symmetric matrix) are ignored.
+    A malformed line raises ValueError naming the file and the line.
     """
     rows: list[list[int]] = []
-    for line in Path(path).read_text().splitlines():
+    linenos: list[int] = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        rows.append([int(tok) for tok in stripped.replace(",", " ").split()])
+        try:
+            rows.append([int(tok) for tok in stripped.replace(",", " ").split()])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected integers, got {stripped!r}") from None
+        linenos.append(lineno)
     if not rows:
         return {}
     is_matrix = (
@@ -85,9 +91,11 @@ def load_ground_truth(path) -> dict[int, list[int]]:
             if loops:
                 gt[t] = loops
     else:
-        for row in rows:
+        for lineno, row in zip(linenos, rows):
             if len(row) != 2:
-                raise ValueError(f"ground truth pair line must have 2 fields, got {row}")
+                raise ValueError(
+                    f"{path}:{lineno}: ground truth pair line must have 2 fields, got {len(row)}"
+                )
             if row[1] < row[0]:
                 gt.setdefault(row[0], []).append(row[1])
     return gt

@@ -2,10 +2,14 @@
 
 Each tree recursively partitions the descriptor set around randomly chosen
 cluster centres by Hamming distance until clusters fall below the leaf
-capacity.  Several trees are built over the same word set and searched
-together: the query descends every tree once, each node passed puts one
-plain entry for its unexplored children on a shared priority queue, keyed
-by the nearest one's centre distance, and the search keeps popping the
+capacity.  Each internal node routes by its children's centres, value
+snapshots of the descriptors it was split around, kept in one ``(words,
+children)`` uint64 table of its own: a prune deletes the child's column,
+a centre reselection rewrites it, and nothing else holds a copy.
+Several trees are built over the same word set and searched together:
+the query descends every tree once, each node passed puts one plain
+entry for its unexplored children on a shared priority queue, keyed by
+the nearest one's centre distance, and the search keeps popping the
 queue until a budget of distinct descriptors has been examined.
 A descriptor reached through several trees is counted once: each search
 collects the store rows of the leaves it reaches in a set of its own.
@@ -16,35 +20,37 @@ the store's row -> id array where needed.
 
 A frame's descriptors are searched together by
 :meth:`HammingForest.knn_search_batch`, which descends every tree once:
-all queries go down together, grouped by nearest child at each node
-(:func:`_descend`).  A query whose reached leaves hold at least
-``budget`` rows in all has them ranked by ``top_k`` as one line of store
-rows, counting a row reached in several trees once; if they hold at least
-``budget`` distinct words the walk would pop nothing from the queue, so
-that answer stands.  Any other query walks.  One pass over the distances
-the grouped descent computed gives every walking query the queue entries
-its own walk would push, in the same order, and each is ranked from its
-walked rows; so both searches give the same answers.
+all queries go down together, grouped by nearest child at each node,
+listing only the leaves some query reaches (:func:`_descend`).  A query
+whose reached leaves hold at least ``budget`` rows in all has them
+ranked by ``top_k`` as one line of store rows, counting a row reached in
+several trees once; if they hold at least ``budget`` distinct words the
+walk would pop nothing from the queue, so that answer stands.  Any other
+query walks.  One pass over the distances the grouped descent computed
+gives every walking query the queue entries its own walk would push, in
+the same order, and each is ranked from its walked rows; so both
+searches give the same answers.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and
 an internal node whose recorded centre word is deleted reselects a new
-centre from its remaining subtree).  :meth:`HammingForest.insert_batch`
-places a batch's words word by word, so the trees and rng draws are those
-of one insert per word.  A frame's new words are queries of its search,
-so they go into the leaves that search reached, without a second descent.
+centre from its remaining subtree).  Words enter the store through one
+checked call, :meth:`DescriptorStore.add`.
+:meth:`HammingForest.insert_batch` places a batch's words word by word,
+so the trees and rng draws are those of one insert per word.  A frame's
+new words are queries of its search, so they go into the leaves that
+search reached, without a second descent.
 
 Concurrency contract: searches, per-query and batched, change no tree
-and may run concurrently.  They write the idempotent fill of a node's
-cached centre matrix and, for a batch, the forest's record of the leaves
-its queries reached.  An insert uses that record only while the forest's
-shape epoch is unchanged (``build``, ``insert_batch`` and ``remove`` bump
-it; merges do not, as node centres are snapshots), and only for
-descriptors equal to the recorded queries: a descent depends on nothing
-else, so a record a concurrent batch overwrote is still right.  The
-insert releases it.  Any mutation (insert, remove, descriptor merge)
-requires exclusive access to the forest.  Enforcement is up to the
-embedder.
+node and may run concurrently.  A batch writes only the forest's record
+of the leaves its queries reached.  An insert uses that record only
+while the forest's shape epoch is unchanged (``build``, ``insert_batch``
+and ``remove`` bump it; merges do not, as node centres are snapshots),
+and only for descriptors equal to the recorded queries: a descent
+depends on nothing else, so a record a concurrent batch overwrote is
+still right.  The insert releases it.  Any mutation (insert, remove,
+descriptor merge) requires exclusive access to the forest.  Enforcement
+is up to the embedder.
 """
 
 from __future__ import annotations
@@ -110,23 +116,12 @@ class DescriptorStore:
     def word_ids(self):
         return self._row_of.keys()
 
-    def check_new(self, word_id: int, desc: np.ndarray) -> np.ndarray:
-        """Refuse a word :meth:`add` cannot store; returns ``desc`` as uint8.
-
-        An id must be new and fit the id field of a packed key.
-        """
-        if not 0 <= word_id < 1 << self.id_bits:
-            raise ValueError(f"word id {word_id} is outside 0..2**{self.id_bits}-1")
-        if word_id in self._row_of:
-            raise ValueError(f"word {word_id} already stored")
-        return self.check_shape(desc)
-
     def check_shape(self, descs, lead: tuple = ()) -> np.ndarray:
         """``descs`` as uint8, refused unless shaped ``(*lead, nbytes)``: ``()``
         for one descriptor, ``(m,)`` for ``m`` of them, ``(None,)`` for any number."""
         descs = np.asarray(descs, dtype=np.uint8)
         want = (*lead, self.nbytes)
-        # An exact match is tested first: a build checks every word twice.
+        # An exact match is tested first: a build checks every word's shape.
         if descs.shape != want and (
             descs.ndim != len(want) or any(w not in (None, s) for w, s in zip(want, descs.shape))
         ):
@@ -136,20 +131,41 @@ class DescriptorStore:
             )
         return descs
 
-    def add(self, word_id: int, desc: np.ndarray) -> int:
-        desc = self.check_new(word_id, desc)
-        if not self._free:
+    def add(self, word_ids, descs: np.ndarray) -> list[int]:
+        """Store new words with their ``(len(word_ids), nbytes)``
+        descriptors; returns their rows.
+
+        An id must fit the id field of a packed key, be new and be given
+        once.  Every id and the shape are checked before the first word is
+        stored, so a refused call stores nothing.
+        """
+        word_ids = list(word_ids)
+        descs = self.check_shape(descs, (len(word_ids),))
+        given = set()
+        for word_id in word_ids:
+            if not 0 <= word_id < 1 << self.id_bits:
+                raise ValueError(f"word id {word_id} is outside 0..2**{self.id_bits}-1")
+            if word_id in self._row_of:
+                raise ValueError(f"word {word_id} already stored")
+            if word_id in given:
+                raise ValueError(f"word {word_id} given twice")
+            given.add(word_id)
+        while len(self._free) < len(word_ids):
+            # Doubled as often as storing the words one by one would; the
+            # new rows go under the free ones, which are taken first.
             old = self._data
             self._data = np.zeros((len(old) * 2, self.nbytes), dtype=np.uint8)
             self._data[: len(old)] = old
             self._data64 = self._data.view(np.uint64)
             self._word_of = np.pad(self._word_of, (0, len(old)), constant_values=-1)
-            self._free = list(range(len(old) * 2 - 1, len(old) - 1, -1))
-        row = self._free.pop()
-        self._data[row] = desc
-        self._row_of[word_id] = row
-        self._word_of[row] = word_id
-        return row
+            self._free[:0] = range(len(old) * 2 - 1, len(old) - 1, -1)
+        cut = len(self._free) - len(word_ids)
+        rows = self._free[cut:][::-1]
+        del self._free[cut:]
+        self._data[rows] = descs
+        self._word_of[rows] = word_ids
+        self._row_of.update(zip(word_ids, rows))
+        return rows
 
     def remove(self, word_id: int) -> None:
         row = self._row_of.pop(word_id)
@@ -233,28 +249,23 @@ class TreeNode:
     """A tree node; ``children is None`` marks a leaf, which lists the store
     rows of its words in ``rows``.
 
-    Every node keeps a value snapshot of the descriptor it was clustered
-    around (``centre``) plus the originating word id, used only to rank the
-    node during descent.  Snapshots are not updated when the live word is
-    merged, so routing stays stable while searches remain approximate.
+    An internal node owns its children's routing table: ``centres``, a
+    ``(words, children)`` uint64 matrix whose column ``c`` is a value
+    snapshot of the descriptor child ``c`` was clustered around, written
+    when the node splits or the child's centre is reselected; a leaf has
+    none.  ``centre_word`` is the word a node's own centre was taken from.
+    Snapshots are not updated when the live word is merged, so routing
+    stays stable while searches remain approximate.
     """
 
-    __slots__ = (
-        "centre",
-        "centre_word",
-        "parent",
-        "children",
-        "rows",
-        "_centre_mat",
-    )
+    __slots__ = ("centre_word", "parent", "children", "rows", "centres")
 
-    def __init__(self, centre=None, centre_word=None, parent=None):
-        self.centre = centre
+    def __init__(self, centre_word=None, parent=None):
         self.centre_word = centre_word
         self.parent = parent
         self.children: list[TreeNode] | None = None
         self.rows: list[int] | None = None
-        self._centre_mat = None
+        self.centres: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -263,30 +274,25 @@ class TreeNode:
     def child_distances(self, q64: np.ndarray) -> np.ndarray:
         """Hamming distances from ``(m, words)`` queries (``uint64`` views) to each
         child's centre: an ``(m, children)`` matrix."""
-        # The centres are cached word-major, a (words, children) uint64
-        # matrix, and the XOR is built word-major too, (words, children, m),
-        # so its popcounts are summed over the leading axis in contiguous
+        # The XOR is built word-major like the centres, (words, children,
+        # m), so its popcounts are summed over the leading axis in contiguous
         # adds along the queries: as few numpy calls as one query needs.
-        if self._centre_mat is None:
-            self._centre_mat = np.stack([c.centre for c in self.children]).view(np.uint64).T.copy()
-        return np.bitwise_count(self._centre_mat[:, :, None] ^ q64.T[:, None, :]).sum(
+        return np.bitwise_count(self.centres[:, :, None] ^ q64.T[:, None, :]).sum(
             axis=0, dtype=np.int32
         ).T
-
-    def invalidate(self) -> None:
-        self._centre_mat = None
 
 
 def _descend(node: TreeNode, q64: np.ndarray, visit=None) -> tuple[list[TreeNode], np.ndarray]:
     """Descend from ``node`` with every ``(n, words)`` query at once,
     grouped by nearest child at each internal node.
 
-    Returns ``(leaves, reached)``: leaves listed on the way and the index
-    in ``leaves`` of the leaf each query reaches.  At every node a query
-    takes the first child of least centre distance.  ``visit(node, idx,
-    d, best)`` is called at each internal node with the queries ``idx``
-    reaching it, their ``(len(idx), children)`` centre distances and
-    their nearest child; it may overwrite ``d``.
+    Returns ``(leaves, reached)``: the leaves some query reaches, each
+    listed once, and the index in ``leaves`` of the leaf each query
+    reaches.  At every node a query takes the first child of least centre
+    distance.  ``visit(node, idx, d, best)`` is called at each internal
+    node with the queries ``idx`` reaching it, their ``(len(idx),
+    children)`` centre distances and their nearest child; it may
+    overwrite ``d``.
     """
     leaves: list[TreeNode] = []
     reached = np.empty(len(q64), dtype=np.int64)
@@ -299,18 +305,16 @@ def _descend(node: TreeNode, q64: np.ndarray, visit=None) -> tuple[list[TreeNode
             continue
         d = node.child_distances(q64[idx])
         best = d.argmin(axis=1)
-        lines = []  # index in `leaves` of each leaf child, -1 for an internal one
-        for c, child in enumerate(node.children):
+        lines = np.full(len(node.children), -1)  # index in `leaves` of each reached leaf child
+        for c in np.flatnonzero(np.bincount(best, minlength=len(node.children))).tolist():
+            child = node.children[c]
             if child.children is None:
-                lines.append(len(leaves))
+                lines[c] = len(leaves)
                 leaves.append(child)
             else:
-                lines.append(-1)
-                group = idx[best == c]
-                if len(group):
-                    stack.append((child, group))
+                stack.append((child, idx[best == c]))
         # Queries sent to an internal child are written again below it.
-        reached[idx] = np.array(lines)[best]
+        reached[idx] = lines[best]
         if visit is not None:
             visit(node, idx, d, best)
     return leaves, reached
@@ -353,9 +357,8 @@ class HammingTree:
         self._build_into(self.root, rows)
 
     def _build_into(self, node: TreeNode, rows: np.ndarray) -> None:
-        node.invalidate()
         if len(rows) < self.leaf_capacity or len(rows) < 2:
-            node.children = None
+            node.children = node.centres = None
             node.rows = rows.tolist()
             self._leaf_of.update(dict.fromkeys(self.store.ids_at(rows).tolist(), node))
             return
@@ -369,15 +372,14 @@ class HammingTree:
             # Degenerate split (duplicate descriptors): force progress.
             assign = np.arange(len(rows)) % k
 
+        kept = np.flatnonzero(np.bincount(assign, minlength=k))  # the centres with members
         node.rows = None
         node.children = []
+        node.centres = np.ascontiguousarray(centres[kept].view(np.uint64).T)
         centre_words = self.store.ids_at(rows[centre_pos]).tolist()
-        for ci in range(k):
-            members = rows[assign == ci]
-            if len(members) == 0:
-                continue
-            child = TreeNode(centre=centres[ci].copy(), centre_word=centre_words[ci], parent=node)
-            self._build_into(child, members)
+        for ci in kept.tolist():
+            child = TreeNode(centre_word=centre_words[ci], parent=node)
+            self._build_into(child, rows[assign == ci])
             node.children.append(child)
 
     # -- online updates -----------------------------------------------
@@ -409,11 +411,12 @@ class HammingTree:
         node = leaf
         while node.parent is not None and self._is_empty(node):
             parent = node.parent
-            parent.children.remove(node)
-            parent.invalidate()
+            c = parent.children.index(node)
+            del parent.children[c]
+            parent.centres = np.delete(parent.centres, c, axis=1)
             node = parent
         if node is self.root and not node.is_leaf and not node.children:
-            node.children = None
+            node.children = node.centres = None
             node.rows = []
 
         # Pruning stopped at ``node``: it and its ancestors are exactly the
@@ -433,9 +436,9 @@ class HammingTree:
             return
         new_row = subtree_rows[int(self.rng.integers(len(subtree_rows)))]
         node.centre_word = int(self.store.ids_at(new_row))
-        node.centre = self.store.gather(new_row).copy()
-        if node.parent is not None:
-            node.parent.invalidate()
+        # Only the root has no parent, and the root has no centre word.
+        parent = node.parent
+        parent.centres[:, parent.children.index(node)] = self.store.gather(new_row).view(np.uint64)
 
     # -- introspection ------------------------------------------------
 
@@ -510,11 +513,9 @@ class HammingForest:
         Every id and descriptor is checked before the first is stored, so
         a refused build leaves the forest as it was.
         """
-        for word_id, desc in words.items():
-            self.store.check_new(word_id, desc)
+        descs = [self.store.check_shape(desc) for desc in words.values()]
+        self.store.add(words, np.reshape(descs, (len(descs), self.store.nbytes)))
         self._shape_epoch += 1
-        for word_id, desc in words.items():
-            self.store.add(word_id, desc)
         ids = list(self.store.word_ids)
         for tree in self.trees:
             tree.build(ids)
@@ -538,19 +539,10 @@ class HammingForest:
         Either way the search's record is released.
         """
         word_ids = list(word_ids)
-        descs = self.store.check_shape(descs, (len(word_ids),))
-        checked = set()
-        for word_id, desc in zip(word_ids, descs):
-            self.store.check_new(word_id, desc)
-            if word_id in checked:
-                raise ValueError(f"word {word_id} given twice")
-            checked.add(word_id)
-        q64 = np.ascontiguousarray(descs).view(np.uint64)
+        q64 = self.store.gather(self.store.add(word_ids, descs)).view(np.uint64)
         targets = self._searched_leaves(q64, searched)
         self._searched = None
         self._shape_epoch += 1
-        for word_id, desc in zip(word_ids, descs):
-            self.store.add(word_id, desc)
         if targets is None:
             targets = []
             for tree in self.trees:
@@ -764,18 +756,13 @@ class _FrameDescent:
     """
 
     def __init__(self, trees: list[HammingTree], q64: np.ndarray):
-        listed: list[TreeNode] = []
-        reached = np.empty((len(q64), len(trees)), dtype=np.int64)
+        self.leaves: list[TreeNode] = []
+        self.reached = np.empty((len(q64), len(trees)), dtype=np.int64)
         self._visits = []  # (queries, children, their centre distances, nearest child)
         for t, tree in enumerate(trees):
             tree_leaves, tree_reached = _descend(tree.root, q64, self._visit)
-            reached[:, t] = tree_reached + len(listed)
-            listed.extend(tree_leaves)
-        # A descent lists every leaf child of the nodes it visits; only the
-        # reached ones are kept, so the rows flattened are the frame's.
-        kept, reached = np.unique(reached, return_inverse=True)
-        self.reached = reached.reshape(len(q64), len(trees))
-        self.leaves = [listed[j] for j in kept.tolist()]
+            self.reached[:, t] = tree_reached + len(self.leaves)
+            self.leaves.extend(tree_leaves)
         self.leaf_size = np.fromiter(
             (len(leaf.rows) for leaf in self.leaves), dtype=np.int64, count=len(self.leaves)
         )

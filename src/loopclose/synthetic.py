@@ -150,11 +150,13 @@ def generate_synthetic(
     Returns ``(frames, ground_truth)`` where ``ground_truth`` maps each
     revisit frame index to the original frame indices it closes a loop
     with.  Deterministic for a fixed seed.  ``n_features`` must be at
-    least 1 and ``width`` a positive multiple of 64, or ValueError is
-    raised.
+    least 1, ``noise_bits`` at least 0 and ``width`` a positive multiple
+    of 64, or ValueError is raised.
     """
     if n_features < 1:
         raise ValueError(f"features must be at least 1, got {n_features}")
+    if noise_bits < 0:
+        raise ValueError(f"noise_bits must be >= 0, got {noise_bits}")
     if width < 64 or width % 64:
         raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
     if isinstance(plan, str):

@@ -55,12 +55,18 @@ def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> li
 
 def plain_descent(tree: HammingTree, q: np.ndarray) -> TreeNode:
     """The leaf one descriptor reaches, taking at each node the first child
-    of least Hamming distance to its centre."""
+    of least Hamming distance to its centre, the child's column of the
+    node's routing table."""
     node = tree.root
     while not node.is_leaf:
-        dists = [hamming(q, child.centre) for child in node.children]
+        dists = [hamming(q, centre) for centre in centre_columns(node)]
         node = node.children[dists.index(min(dists))]
     return node
+
+
+def centre_columns(node: TreeNode) -> list[np.ndarray]:
+    """Each child's centre of an internal node as a uint8 descriptor."""
+    return [column.copy().view(np.uint8) for column in node.centres.T]
 
 
 def initial_leaf_rows(forest: HammingForest, q: np.ndarray) -> set[int]:
@@ -89,12 +95,18 @@ def check_forest_invariants(forest: HammingForest, leaf_capacity: int) -> None:
 
 
 def _check_internal_nodes(tree: HammingTree, live: set[int]) -> None:
+    words = tree.store.nbytes // 8
     stack = [tree.root]
     while stack:
         node = stack.pop()
         if node.is_leaf:
+            assert node.centres is None, "leaf with a routing table"
             continue
         assert node.children, "internal node without children"
+        assert node.centres.dtype == np.uint64 and node.centres.shape == (
+            words,
+            len(node.children),
+        ), "routing table is not one column per child"
         for child in node.children:
             assert child.parent is node, "broken parent link"
             stack.append(child)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from loopclose.cli import main
 from loopclose.imgproc import read_features, write_features, write_pgm
@@ -267,3 +268,43 @@ def test_synth_rejects_width_not_a_multiple_of_64(tmp_path, capsys):
     config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, "descriptor_bits": 100})
     assert main(["run", config]) == 2
     assert capsys.readouterr().err == expected
+
+
+def test_negative_noise_bits_refused(tmp_path, capsys):
+    # Before, a negative count flipped all but one bit of every revisit
+    # descriptor, and the run exited 0.
+    out = tmp_path / "synth"
+    assert main(["synth", "new:3,revisit:0:2", str(out), "--noise-bits", "-1"]) == 2
+    assert capsys.readouterr().err == "error: noise_bits must be >= 0, got -1\n"
+    assert not out.exists()
+    config = write_config(
+        tmp_path / "c.cfg", **{**SMALL_RUN, "noise_bits": -1, "out": str(tmp_path / "out")}
+    )
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == "error: noise_bits must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_gt_tolerance_refused(tmp_path, capsys):
+    # Before, a negative tolerance counted every true loop as a false one.
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, "gt_tolerance": -1, "out": str(out)})
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == "error: gt_tolerance must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("x y", "expected integers, got 'x y'"),
+        ("1 0 3", "ground truth pair line must have 2 fields, got 3"),
+    ],
+    ids=["not-integers", "three-fields"],
+)
+def test_malformed_ground_truth_names_file_and_line(tmp_path, capsys, line, message):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"# pairs\n5 1\n\n{line}\n")
+    config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, "gt": str(gt)})
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == f"error: {gt}:4: {message}\n"

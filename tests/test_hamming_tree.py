@@ -14,9 +14,16 @@ from loopclose.bits import (
     random_descriptors,
 )
 from loopclose import hamming_tree
-from loopclose.hamming_tree import NO_DISTANCE, HammingForest, _FrameDescent
+from loopclose.hamming_tree import (
+    NO_DISTANCE,
+    HammingForest,
+    HammingTree,
+    _FrameDescent,
+    iter_leaves,
+)
 
 from helpers import (
+    centre_columns,
     check_forest_invariants,
     initial_leaf_rows,
     linear_nn_distances,
@@ -37,6 +44,9 @@ node root
     leaf c=w5 [w1,w5]
     leaf c=w8 [w7,w8]"""
 
+# The hash chain of test_forest_evolution_pinned.
+FOREST_EVOLUTION_DIGEST = "4f0c295d2487e2ebe0d850a08a060db8bf75c9bd20348d37cd80ca91b744b1f9"
+
 
 def make_forest(descs, seed=0, **kwargs):
     forest = HammingForest(width=descs.shape[1] * 8, seed=seed, **kwargs)
@@ -56,6 +66,16 @@ def make_tree(words, branching, leaf_capacity, seed):
 
 def leaf_ids(tree, leaf):
     return tree.store.ids_at(leaf.rows).tolist()
+
+
+def all_nodes(tree):
+    """Every node of a tree, parents before children."""
+    stack, nodes = [tree.root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children or ())
+    return nodes
 
 
 class TestHamming:
@@ -112,7 +132,7 @@ class TestHamming:
         for i in range(30):
             np.testing.assert_array_equal(node.child_distances(q64[i : i + 1])[0], batch[i])
             assert batch[i].tolist() == [
-                hamming(q64[i].view(np.uint8), child.centre) for child in node.children
+                hamming(q64[i].view(np.uint8), centre) for centre in centre_columns(node)
             ]
 
 
@@ -648,9 +668,9 @@ class TestBatchSearch:
         np.testing.assert_array_equal(dists, exp_dists)
 
     def test_concurrent_batches_match_sequential(self):
-        # A batch writes nothing but node centre caches, so batches on
-        # threads over a forest whose caches start empty give the answers
-        # of an identically built forest searched sequentially.
+        # A batch writes no tree node, only the forest's record of its
+        # reached leaves, so batches on threads give the answers of an
+        # identically built forest searched sequentially.
         rng = np.random.default_rng(0)
         descs = random_descriptors(rng, 3000)
         batches = np.split(random_descriptors(rng, 4000), 16)
@@ -701,6 +721,17 @@ class TestBatchSearch:
         listed = sum(len(t.leaf_sizes()) for t in forest.trees)
         small = _FrameDescent(forest.trees, queries[:12].view(np.uint64))
         assert len(small.leaves) <= 12 * len(forest.trees) < listed
+
+    def test_descent_lists_only_reached_leaves(self):
+        # A grouped descent lists a leaf only where some query reaches it,
+        # and each once.  Before, it listed every leaf child of every node
+        # it visited, and the frame's descent dropped the rest.
+        forest, queries = churned_forest("clustered", 4, seed=49)
+        for batch in (queries[:1], queries[:12], queries):
+            for tree in forest.trees:
+                leaves, reached = hamming_tree._descend(tree.root, batch.view(np.uint64))
+                assert np.unique(reached).tolist() == list(range(len(leaves)))
+                assert [leaves[j] for j in reached] == [plain_descent(tree, q) for q in batch]
 
 
 class TestTopK:
@@ -979,6 +1010,50 @@ class TestRemove:
             got = forest.knn_search(descs[i], 1, budget=10)
             assert got[0].distance == 0
 
+    def test_search_after_prune_changes_no_node(self):
+        # Searches, per-query and batched, read the routing tables a prune
+        # left and write no node.
+        # Before, a prune emptied its parent's cached centre matrix and the
+        # next search filled it again.
+        rng = np.random.default_rng(50)
+        descs = random_descriptors(rng, 60)
+        forest = make_forest(descs, seed=50, branching=4, leaf_capacity=4, num_trees=2)
+        tree = forest.trees[0]
+        leaf = next(leaf for leaf in iter_leaves(tree.root) if len(leaf.rows) == 1)
+        parent = leaf.parent
+        forest.remove(int(forest.store.ids_at(leaf.rows[0])))
+        assert leaf not in parent.children
+
+        def node_state():
+            return [
+                {slot: repr(getattr(node, slot, None)) for slot in type(node).__slots__}
+                for t in forest.trees
+                for node in all_nodes(t)
+            ]
+
+        before = node_state()
+        for q in descs[:20]:
+            forest.knn_search(q, 2, budget=8)
+        forest.knn_search_batch(descs, 2, budget=8)
+        assert node_state() == before
+        check_forest_invariants(forest, leaf_capacity=4)
+
+    def test_invariants_check_routing_tables(self):
+        # Every internal node's routing table has one column per child and
+        # no leaf has one; a prune that kept the child's column is caught.
+        rng = np.random.default_rng(51)
+        forest = make_forest(random_descriptors(rng, 80), seed=51, branching=4, leaf_capacity=5)
+        check_forest_invariants(forest, leaf_capacity=5)
+        node = forest.trees[1].root
+        node.centres = np.hstack([node.centres, node.centres[:, :1]])
+        with pytest.raises(AssertionError, match="one column per child"):
+            check_forest_invariants(forest, leaf_capacity=5)
+        node.centres = node.centres[:, :-1]
+        leaf = next(iter_leaves(node))
+        leaf.centres = node.centres[:, :1].copy()
+        with pytest.raises(AssertionError, match="leaf with a routing table"):
+            check_forest_invariants(forest, leaf_capacity=5)
+
     def test_removed_word_never_in_results(self):
         rng = np.random.default_rng(18)
         descs = random_descriptors(rng, 200)
@@ -1021,6 +1096,77 @@ class TestInterleavedMutation:
             if step % 250 == 0:
                 check_forest_invariants(forest, leaf_capacity=25)
         check_forest_invariants(forest, leaf_capacity=25)
+
+    def test_forest_evolution_pinned(self, monkeypatch):
+        # A seeded churn over a small forest: frames that search, merge
+        # their matches and insert the rest from the search's descent,
+        # inserts given no search, and removes that take centre words
+        # first.  After every step the tree dumps, the store bytes and row
+        # -> id array, the rng state and a probe batch's answers are hashed;
+        # the chain was recorded when each child's centre still lived in the
+        # child and its parent cached a copy, so a change to it changes how
+        # the forest evolves.
+        rng = np.random.default_rng(48)
+        bases = random_descriptors(rng, 30)
+
+        def draw(n):
+            picks = bases[rng.integers(len(bases), size=n)]
+            return flip_random_bits(rng, picks, int(rng.integers(4, 40)))
+
+        probes = draw(40)
+        forest = HammingForest(branching=4, leaf_capacity=10, num_trees=3, budget=20, seed=48)
+        forest.build(dict(enumerate(draw(120))))
+        next_id = 120
+        reselections = []
+        reselect = HammingTree._reselect_centre
+
+        def recording(tree, node):
+            reselections.append(node.centre_word)
+            reselect(tree, node)
+
+        monkeypatch.setattr(HammingTree, "_reselect_centre", recording)
+        rebuilds = prunes = 0
+        chain = hashlib.sha256()
+        nodes = sum(len(all_nodes(t)) for t in forest.trees)
+        for step in range(60):
+            if step % 4 == 0:
+                queries = draw(24)
+                ids, dists = forest.knn_search_batch(queries, 2)
+                matched = dists[:, 0] < 30
+                forest.merge_and_batch(ids[matched, 0], queries[matched])
+                unmatched = np.flatnonzero(~matched)
+                new_ids = range(next_id, next_id + len(unmatched))
+                forest.insert_batch(new_ids, queries[unmatched], unmatched)
+                next_id += len(unmatched)
+            elif step % 4 == 1:
+                forest.insert_batch(range(next_id, next_id + 16), draw(16))
+                next_id += 16
+            else:
+                live = sorted(forest.store.word_ids)
+                centres = sorted(
+                    {n.centre_word for t in forest.trees for n in all_nodes(t) if n.children}
+                    & set(live)
+                )
+                victims = [centres[i] for i in rng.choice(len(centres), 2, replace=False)]
+                victims += [w for w in rng.choice(live, 3, replace=False).tolist() if w not in victims]
+                for word_id in victims:
+                    forest.remove(word_id)
+            before, nodes = nodes, sum(len(all_nodes(t)) for t in forest.trees)
+            rebuilds += step % 4 < 2 and nodes > before
+            prunes += step % 4 >= 2 and nodes < before
+            ids, dists = forest.knn_search_batch(probes, 3)
+            for part in (
+                *(t.dump().encode() for t in forest.trees),
+                forest.store._data.tobytes(),
+                forest.store._word_of.tobytes(),
+                repr(forest.rng.bit_generator.state).encode(),
+                ids.tobytes(),
+                dists.tobytes(),
+            ):
+                chain.update(hashlib.sha256(part).digest())
+            check_forest_invariants(forest, leaf_capacity=10)
+        assert rebuilds and prunes and reselections, (rebuilds, prunes, len(reselections))
+        assert chain.hexdigest() == FOREST_EVOLUTION_DIGEST
 
     def test_merge_decreases_popcount_and_search_sees_it(self):
         rng = np.random.default_rng(21)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopclose.bits import hamming
+from loopclose.bits import flip_random_bits, hamming, random_descriptors
 from loopclose.geometry import RansacParams, ransac_fundamental, ratio_match
 from loopclose.synthetic import PlanStep, generate_synthetic, parse_plan
 
@@ -88,3 +88,12 @@ class TestGenerate:
     def test_feature_counts(self):
         frames, _ = generate_synthetic("new:10", n_features=75, seed=6)
         assert all(len(f) == 75 for f in frames)
+
+
+def test_flip_random_bits_refuses_negative_count():
+    # Before, a count of -1 sliced all but the last bit position and
+    # flipped 255 of 256 bits.
+    rng = np.random.default_rng(0)
+    descs = random_descriptors(rng, 3)
+    with pytest.raises(ValueError, match="cannot flip -1 bits"):
+        flip_random_bits(rng, descs, -1)
