@@ -51,12 +51,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _threshold(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--thresholds: {token!r} is not an integer inlier count") from None
+
+
 def _cmd_sweep(args) -> int:
+    thresholds = sorted(map(_threshold, args.thresholds.split(",")))
     config = parse_config(args.config)
-    thresholds = sorted(int(t) for t in args.thresholds.split(","))
-    if not thresholds:
-        print("sweep: empty threshold list", file=sys.stderr)
-        return 1
     output = run_sequence(config, write=False)
     if output.ground_truth is None:
         print("sweep: no ground truth available (set gt= or use synthetic mode)", file=sys.stderr)

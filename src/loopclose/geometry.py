@@ -39,8 +39,8 @@ class RansacParams:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be > 0")
+        if not self.inlier_threshold > 0:  # NaN too, which would accept no inlier
+            raise ValueError(f"inlier_threshold must be > 0, got {self.inlier_threshold}")
 
 
 def ratio_match(

@@ -6,30 +6,22 @@ capacity.  Each internal node routes by its children's centres, value
 snapshots of the descriptors it was split around, kept in one ``(words,
 children)`` uint64 table of its own: a prune deletes the child's column,
 a centre reselection rewrites it, and nothing else holds a copy.
-Several trees are built over the same word set and searched together:
-the query descends every tree once, each node passed puts one plain
-entry for its unexplored children on a shared priority queue, keyed by
-the nearest one's centre distance, and the search keeps popping the
-queue until a budget of distinct descriptors has been examined.
-A descriptor reached through several trees is counted once: each search
-collects the store rows of the leaves it reaches in a set of its own.
-Every search ranks its rows with one kernel, :meth:`DescriptorStore.top_k`,
-by an int64 key ``distance << id_bits | id``; word ids are checked to fit
-it when stored.  Leaves record store rows only; word ids are read from
-the store's row -> id array where needed.
-
-A frame's descriptors are searched together by
-:meth:`HammingForest.knn_search_batch`, which descends every tree once:
-all queries go down together, grouped by nearest child at each node,
+Several trees are built over the same word set and searched together by
+one budgeted best-bin-first search, :meth:`HammingForest.knn_search_batch`;
+:meth:`HammingForest.knn_search` is its one-query case.  All queries
+descend every tree once, together, grouped by nearest child at each node,
 listing only the leaves some query reaches (:func:`_descend`).  A query
-whose reached leaves hold at least ``budget`` rows in all has them
-ranked by ``top_k`` as one line of store rows, counting a row reached in
-several trees once; if they hold at least ``budget`` distinct words the
-walk would pop nothing from the queue, so that answer stands.  Any other
-query walks.  One pass over the distances the grouped descent computed
-gives every walking query the queue entries its own walk would push, in
-the same order, and each is ranked from its walked rows; so both
-searches give the same answers.
+whose reached leaves hold at least ``budget`` distinct words would pop
+nothing from its queue, so they are its answer.  Any other query walks
+(:meth:`_FrameDescent.walks`): each node its descent passed puts one
+entry for its unexplored children on the query's priority queue, keyed
+by the nearest one's centre distance, and the walk pops the queue until
+a budget of distinct descriptors has been examined.  A descriptor reached
+through several trees is counted once.  Every search ranks its rows with
+one kernel, :meth:`DescriptorStore.top_k`, by an int64 key
+``distance << id_bits | id``; word ids are checked to fit it when stored.
+Leaves record store rows only; word ids are read from the store's row ->
+id array where needed.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and
@@ -43,14 +35,14 @@ search reached, without a second descent.
 
 Concurrency contract: searches, per-query and batched, change no tree
 node and may run concurrently.  A batch writes only the forest's record
-of the leaves its queries reached.  An insert uses that record only
-while the forest's shape epoch is unchanged (``build``, ``insert_batch``
-and ``remove`` bump it; merges do not, as node centres are snapshots),
-and only for descriptors equal to the recorded queries: a descent
-depends on nothing else, so a record a concurrent batch overwrote is
-still right.  The insert releases it.  Any mutation (insert, remove,
-descriptor merge) requires exclusive access to the forest.  Enforcement
-is up to the embedder.
+of the leaves its queries reached; a per-query search writes none.  An
+insert uses that record only while the forest's shape epoch is unchanged
+(``build``, ``insert_batch`` and ``remove`` bump it; merges do not, as
+node centres are snapshots), and only for descriptors equal to the
+recorded queries: a descent depends on nothing else, so a record a
+concurrent batch overwrote is still right.  The insert releases it.
+Any mutation (insert, remove, descriptor merge) requires exclusive
+access to the forest.  Enforcement is up to the embedder.
 """
 
 from __future__ import annotations
@@ -587,122 +579,67 @@ class HammingForest:
         self.store.merge_and(word_ids, qs)
 
     def knn_search(self, q: np.ndarray, k: int, budget: int | None = None) -> list[Neighbor]:
-        """Budgeted best-bin-first search for the ``k`` nearest words.
+        """Budgeted best-bin-first search for the ``k`` nearest words to one
+        descriptor: the one-query case of :meth:`knn_search_batch`.
 
-        Every tree is descended once (children ranked by Hamming distance
-        to their centre snapshot, siblings pushed onto one priority
-        queue), then the queue is popped until at least ``budget``
-        distinct descriptors have been examined or the queue drains; the
-        examined words are ranked by :meth:`DescriptorStore.top_k`.
-        A budget at least as large as the vocabulary examines every word,
-        so the live store rows are ranked instead of walking, with the
-        same result.  Results are sorted by ascending distance, ties by
-        ascending id.
+        Results are sorted by ascending distance, ties by ascending id.
+        It keeps no record of the leaves it reached, so the record of the
+        last batch search stands.
         """
-        q = self.store.check_shape(q)
-        if len(self.store) == 0 or k <= 0:
-            return []
-        if budget is None:
-            budget = self.budget
-        q64 = np.ascontiguousarray(q).view(np.uint64)[None]
-        if budget >= len(self.store):
-            rows = self.store.live_rows()
-        else:
-            rows = np.array(self._best_bin_first(q64, budget), dtype=np.int64)
-        ids, dists, _ = self.store.top_k(q64, rows, min(k, len(rows)))
-        return list(map(Neighbor, ids[0].tolist(), dists[0].tolist()))
-
-    def _best_bin_first(self, q64: np.ndarray, budget: int, start=None) -> list[int]:
-        """Store rows the walk of :meth:`knn_search` examines for one ``(1, words)`` query.
-
-        A heap entry ``(key, tick, children, distances, pos)`` stands for
-        the unexplored children of one node: their centre distances, with
-        the children already taken masked, and ``pos``, the first child of
-        least distance ``key`` among the rest.  A popped entry is pushed
-        again for its next child before that child is descended, so ticks
-        order equal keys by push.
-
-        Every tree is descended here, unless ``start`` resumes the walk
-        from a batch descent: ``(entries, leaves)``, the heap entries these
-        descents would push, ticked from 0 in push order, and the row lists
-        of the leaves they reach.  The walk takes the entries over.
-        """
-        seen: set[int] = set()  # store rows examined, across trees
-
-        def descend(node: TreeNode) -> None:
-            while node.children is not None:
-                d = node.child_distances(q64)[0]
-                best = int(d.argmin())
-                children = node.children
-                if len(children) > 1:
-                    d[best] = _MASKED
-                    pos = int(d.argmin())
-                    heapq.heappush(heap, (int(d[pos]), next(tick), children, d, pos))
-                node = children[best]
-            seen.update(node.rows)
-
-        if start is None:
-            heap: list = []
-            tick = _counter()
-            for tree in self.trees:
-                descend(tree.root)
-        else:
-            heap, leaves = start
-            tick = _counter(len(heap))
-            # Heap entries are distinct (key, tick) pairs, so they pop in
-            # the same order however the heap was built.
-            heapq.heapify(heap)
-            for rows in leaves:
-                seen.update(rows)
-        while heap and len(seen) < budget:
-            _, _, children, d, pos = heapq.heappop(heap)
-            d[pos] = _MASKED
-            after = int(d.argmin())
-            if d[after] < _MASKED:
-                heapq.heappush(heap, (int(d[after]), next(tick), children, d, after))
-            descend(children[pos])
-        return list(seen)
+        q64 = np.ascontiguousarray(self.store.check_shape(q)).view(np.uint64)[None]
+        ids, dists, _ = self._search(q64, k, self.budget if budget is None else budget)
+        found = ids[0] >= 0
+        return list(map(Neighbor, ids[0, found].tolist(), dists[0, found].tolist()))
 
     def knn_search_batch(
         self, queries: np.ndarray, k: int, budget: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`knn_search` for every row of ``queries`` at once.
+        """Budgeted best-bin-first search for the ``k`` nearest words to
+        every row of ``queries``.
 
         Returns ``(ids, dists)``, both ``(len(queries), k)``: row ``i``
-        holds the answer of ``knn_search(queries[i], k, budget)`` in
-        order, padded with id -1 and distance ``NO_DISTANCE`` past the
-        words found.
-
-        Each tree is descended once, by all queries together, grouped by
-        their nearest child at every node.  A query whose reached leaves
-        hold at least ``budget`` rows in all has them ranked as one line
-        by :meth:`DescriptorStore.top_k`, which counts each row once.  If
-        the line holds at least ``budget`` distinct words that answer
-        stands: the walk would pop no queued sibling and examine exactly
-        those words.  The other queries, fewer leaf rows than ``budget``
-        among them, walk as :meth:`knn_search` does, resuming from the
-        batch descent, and are ranked from their walked rows.  A budget
-        covering the live vocabulary ranks every live word, as
-        :meth:`knn_search` does.  The reached leaves are kept for
+        holds query ``i``'s words in ascending distance, ties by ascending
+        id, padded with id -1 and distance ``NO_DISTANCE`` past the words
+        found.  The leaves the queries reached are kept for
         :meth:`insert_batch`.
         """
         queries = self.store.check_shape(queries, (None,))
         self._searched = None
+        q64 = np.ascontiguousarray(queries).view(np.uint64)
+        ids, dists, descent = self._search(q64, k, self.budget if budget is None else budget)
+        if descent is not None:
+            self._searched = (self._shape_epoch, q64.copy(), descent.reached, descent.leaves)
+        return ids, dists
+
+    def _search(
+        self, q64: np.ndarray, k: int, budget: int
+    ) -> tuple[np.ndarray, np.ndarray, _FrameDescent | None]:
+        """The search of ``(n, words)`` queries: ``(ids, dists, descent)``,
+        with the frame descent if the trees were descended.
+
+        A budget covering the live vocabulary ranks every live word: a
+        walk would examine them all.  Otherwise each tree is descended
+        once, by all queries together, grouped by their nearest child at
+        every node.  A query whose reached leaves hold at least ``budget``
+        rows in all has them ranked as one line by
+        :meth:`DescriptorStore.top_k`, which counts each row once.  If the
+        line holds at least ``budget`` distinct words that answer stands:
+        the walk would pop no queued sibling and examine exactly those
+        words.  The other queries walk (:meth:`_FrameDescent.walks`) and
+        are ranked from their walked rows.
+        """
         k = max(k, 0)
-        n = len(queries)
+        n = len(q64)
         ids = np.full((n, k), -1, dtype=np.int64)
         dists = np.full((n, k), NO_DISTANCE, dtype=np.int32)
         if len(self.store) == 0 or k == 0 or n == 0:
-            return ids, dists
-        if budget is None:
-            budget = self.budget
-        q64 = np.ascontiguousarray(queries).view(np.uint64)
+            return ids, dists, None
         if budget >= len(self.store):
             rows = self.store.live_rows()
             for s in range(0, n, _CHUNK):
                 chunk = slice(s, s + _CHUNK)
                 ids[chunk], dists[chunk], _ = self.store.top_k(q64[chunk], rows, k)
-            return ids, dists
+            return ids, dists, None
         descent = _FrameDescent(self.trees, q64)
         reached = descent.reached
         sizes = descent.leaf_size[reached]
@@ -713,17 +650,13 @@ class HammingForest:
         )
         short = np.setdiff1d(np.arange(n), full[counts >= budget])
         if len(short):
-            walked = [
-                self._best_bin_first(q64[i, None], budget, start)
-                for i, start in zip(short.tolist(), descent.seeds(short))
-            ]
+            walked = descent.walks(short, budget)
             sizes = np.fromiter(map(len, walked), dtype=np.int64, count=len(walked))
             flat = np.fromiter(chain.from_iterable(walked), dtype=np.int64, count=int(sizes.sum()))
             ids[short], dists[short], _ = self._rank_lines(
                 q64[short], flat, (np.cumsum(sizes) - sizes)[:, None], sizes[:, None], k
             )
-        self._searched = (self._shape_epoch, q64.copy(), reached, descent.leaves)
-        return ids, dists
+        return ids, dists, descent
 
     def _rank_lines(
         self, q64: np.ndarray, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray, k: int
@@ -752,10 +685,11 @@ class _FrameDescent:
     Keeps the leaves some query reaches, with their rows flattened, the
     one each query reaches in each tree and, for every node with several
     children, the centre distances of the queries passing it, from which
-    :meth:`seeds` builds the heap entries their walks would push.
+    :meth:`walks` builds the heap entries of the walking queries.
     """
 
     def __init__(self, trees: list[HammingTree], q64: np.ndarray):
+        self.q64 = q64
         self.leaves: list[TreeNode] = []
         self.reached = np.empty((len(q64), len(trees)), dtype=np.int64)
         self._visits = []  # (queries, children, their centre distances, nearest child)
@@ -777,16 +711,23 @@ class _FrameDescent:
         if len(node.children) > 1:
             self._visits.append((idx, node.children, d, best))
 
-    def seeds(self, queries: np.ndarray) -> list[tuple[list, list]]:
-        """The ``start`` of each of ``queries``' :meth:`HammingForest._best_bin_first` walks.
+    def walks(self, queries: np.ndarray, budget: int) -> list[list[int]]:
+        """Store rows the best-bin-first walk of each of ``queries`` examines.
 
-        One pass over the recorded visits, which run in tree order and
-        top-down within a tree, lists each query's heap entries in the
-        order its own walk would push them.
+        A heap entry ``(key, tick, children, distances, pos)`` stands for
+        the unexplored children of one node: their centre distances, with
+        the children already taken masked, and ``pos``, the first child of
+        least distance ``key`` among the rest.  One pass over the recorded
+        visits, which run in tree order and top-down within a tree, gives
+        each query the entries of the nodes its descent passed, ticked in
+        that order.  A walk starts from the rows of its reached leaves and
+        pops until ``budget`` distinct rows are examined or its queue
+        drains.  A popped entry is pushed again for its next child before
+        that child is descended, so ticks order equal keys by push.
         """
         slot = np.full(len(self.reached), -1)
         slot[queries] = np.arange(len(queries))
-        entries: list[list] = [[] for _ in range(len(queries))]
+        heaps: list[list] = [[] for _ in range(len(queries))]
         for idx, children, d, best in self._visits:
             lines = np.flatnonzero(slot[idx] >= 0)
             if len(lines) == 0:
@@ -796,11 +737,33 @@ class _FrameDescent:
             d[at, best[lines]] = _MASKED
             pos = d.argmin(axis=1)
             for s, key, row, p in zip(slot[idx[lines]].tolist(), d[at, pos].tolist(), d, pos.tolist()):
-                entries[s].append((key, len(entries[s]), children, row, p))
-        return [
-            (heap, [self.leaves[j].rows for j in self.reached[i].tolist()])
-            for heap, i in zip(entries, queries.tolist())
-        ]
+                heaps[s].append((key, len(heaps[s]), children, row, p))
+        walked = []
+        for heap, i in zip(heaps, queries.tolist()):
+            q64 = self.q64[i, None]
+            seen = set(chain.from_iterable(self.leaves[j].rows for j in self.reached[i].tolist()))
+            tick = _counter(len(heap))
+            # Entries are distinct (key, tick) pairs, so they pop in the same
+            # order however the heap was built.
+            heapq.heapify(heap)
+            while heap and len(seen) < budget:
+                _, _, children, d, pos = heapq.heappop(heap)
+                d[pos] = _MASKED
+                after = int(d.argmin())
+                if d[after] < _MASKED:
+                    heapq.heappush(heap, (int(d[after]), next(tick), children, d, after))
+                node = children[pos]
+                while node.children is not None:
+                    d = node.child_distances(q64)[0]
+                    best = int(d.argmin())
+                    if len(node.children) > 1:
+                        d[best] = _MASKED
+                        pos = int(d.argmin())
+                        heapq.heappush(heap, (int(d[pos]), next(tick), node.children, d, pos))
+                    node = node.children[best]
+                seen.update(node.rows)
+            walked.append(list(seen))
+        return walked
 
 
 def _lines(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -420,7 +420,13 @@ def _record_dtype(nbytes: int) -> np.dtype:
 
 
 def write_features(path, features: FeatureSet, pattern_seed: int = DEFAULT_PATTERN_SEED) -> None:
-    """Write features in the binary interchange format (little-endian)."""
+    """Write features in the binary interchange format (little-endian).
+
+    The header holds the pattern seed in 64 bits, so a seed outside
+    0..2**64-1 is refused before the file is opened.
+    """
+    if not 0 <= pattern_seed < 1 << 64:
+        raise ValueError(f"pattern seed {pattern_seed} is outside 0..2**64-1")
     nbytes = features.descriptors.shape[1]
     records = np.empty(len(features), dtype=_record_dtype(nbytes))
     records["x"] = features.keypoints[:, 0]

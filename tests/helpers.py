@@ -7,6 +7,9 @@ paths are checked against genuinely separate code.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
 
 from loopclose.bits import hamming, hamming_matrix
@@ -43,12 +46,51 @@ def assign_words_loop(vocab, features: FeatureSet):
     return matches, unmatched
 
 
+def walk_rows(forest: HammingForest, q: np.ndarray, budget: int) -> list[int]:
+    """Store rows the best-bin-first walk of one descriptor examines,
+    descending every tree from its root.
+
+    Each node passed pushes one heap entry ``(key, tick, children,
+    distances, pos)`` for its unexplored children: their centre distances
+    with the children taken masked, and ``pos``, the first of least
+    distance ``key`` among the rest.  Entries are popped until ``budget``
+    distinct rows are examined or the heap drains; a popped entry is
+    pushed again for its next child before that child is descended.
+    """
+    masked = 1 << 30
+    heap: list = []
+    tick = itertools.count()
+    seen: set[int] = set()
+
+    def descend(node: TreeNode) -> None:
+        while not node.is_leaf:
+            d = hamming_matrix(q[None], np.stack(centre_columns(node)))[0]
+            best = int(d.argmin())
+            if len(node.children) > 1:
+                d[best] = masked
+                pos = int(d.argmin())
+                heapq.heappush(heap, (int(d[pos]), next(tick), node.children, d, pos))
+            node = node.children[best]
+        seen.update(node.rows)
+
+    for tree in forest.trees:
+        descend(tree.root)
+    while heap and len(seen) < budget:
+        _, _, children, d, pos = heapq.heappop(heap)
+        d[pos] = masked
+        after = int(d.argmin())
+        if d[after] < masked:
+            heapq.heappush(heap, (int(d[after]), next(tick), children, d, after))
+        descend(children[pos])
+    return list(seen)
+
+
 def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> list[Neighbor]:
-    """The ``k`` nearest of the words the best-bin-first walk examines,
-    ranked by ``DescriptorStore.top_k``, even where ``knn_search`` would
-    rank every live word instead of walking."""
+    """The ``k`` nearest of the words :func:`walk_rows` examines, ranked
+    by ``DescriptorStore.top_k``, even where ``knn_search`` would rank
+    every live word instead of walking."""
     q64 = np.ascontiguousarray(q).view(np.uint64)[None]
-    rows = np.array(forest._best_bin_first(q64, budget), dtype=np.int64)
+    rows = np.array(walk_rows(forest, q, budget), dtype=np.int64)
     ids, dists, _ = forest.store.top_k(q64, rows, min(k, len(rows)))
     return [Neighbor(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist())]
 

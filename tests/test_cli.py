@@ -308,3 +308,49 @@ def test_malformed_ground_truth_names_file_and_line(tmp_path, capsys, line, mess
     config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, "gt": str(gt)})
     assert main(["run", config]) == 2
     assert capsys.readouterr().err == f"error: {gt}:4: {message}\n"
+
+
+def test_nan_ransac_threshold_refused(tmp_path, capsys):
+    # Before, a NaN threshold passed the `<= 0` check and accepted no
+    # inlier, so geometry turned every candidate down and the run exited 0.
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "c.cfg",
+        mode="synthetic", input="new:60,revisit:0:20", features=100, seed=3,
+        ransac_threshold="nan", out=str(out),
+    )
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == "error: inlier_threshold must be > 0, got nan\n"
+    assert not out.exists()
+
+
+# The feature header stores the pattern seed in 64 bits.  Before, a larger
+# seed ended `synth` and `extract` in a struct.error traceback.
+TOO_LARGE_SEED = "error: pattern seed 18446744073709551616 is outside 0..2**64-1\n"
+
+
+def test_synth_rejects_pattern_seed_outside_64_bits(tmp_path, capsys):
+    out = tmp_path / "synth"
+    assert main(["synth", "new:2", str(out), "--seed", str(1 << 64)]) == 2
+    assert capsys.readouterr().err == TOO_LARGE_SEED
+    assert not list(out.glob("*.feat"))
+    assert main(["synth", "new:2", str(out), "--seed", str((1 << 64) - 1)]) == 0
+    read_features(out / "frame_000000.feat", expected_seed=(1 << 64) - 1)
+
+
+def test_extract_rejects_pattern_seed_outside_64_bits(tmp_path, capsys):
+    img_dir = _image_dir(tmp_path)
+    feat_dir = tmp_path / "feats"
+    assert main(["extract", str(img_dir), str(feat_dir), "--seed", str(1 << 64)]) == 2
+    assert capsys.readouterr().err == TOO_LARGE_SEED
+    assert not list(feat_dir.glob("*.feat"))
+
+
+@pytest.mark.parametrize("thresholds, token", [("", "''"), (",", "''"), ("10,x", "'x'")])
+def test_sweep_bad_thresholds_named(tmp_path, capsys, thresholds, token):
+    # Before, the error named only int()'s message, not the option.
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.cfg", out=str(out), **SMALL_RUN)
+    assert main(["sweep", config, "--thresholds", thresholds]) == 2
+    assert capsys.readouterr().err == f"error: --thresholds: {token} is not an integer inlier count\n"
+    assert not out.exists()

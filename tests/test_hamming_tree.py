@@ -29,6 +29,7 @@ from helpers import (
     linear_nn_distances,
     plain_descent,
     walk_answer,
+    walk_rows,
 )
 
 GOLDEN_DUMP = """\
@@ -453,21 +454,34 @@ def churned_forest(kind, num_trees, seed, leaf_capacity=40):
 
 
 def per_query_answers(forest, queries, k, budget):
-    """``knn_search`` of each query, laid out as ``knn_search_batch`` returns it."""
+    """Each query's answer from code outside the forest's search, laid out
+    as ``knn_search_batch`` returns it: the oracle walk's answer below the
+    live word count, a brute-force scan of the live words at or above it."""
     ids = np.full((len(queries), k), -1, dtype=np.int64)
     dists = np.full((len(queries), k), NO_DISTANCE, dtype=np.int32)
+    words = sorted(forest.store.word_ids)
+    scan = hamming_matrix(queries, np.stack([forest.descriptor(w) for w in words]))
     for i, q in enumerate(queries):
-        found = forest.knn_search(q, k, budget)
-        ids[i, : len(found)] = [n.word_id for n in found]
-        dists[i, : len(found)] = [n.distance for n in found]
+        if budget < len(forest):
+            found = walk_answer(forest, q, k, budget)
+        else:
+            found = [(w, d) for d, w in sorted(zip(scan[i].tolist(), words))[:k]]
+        ids[i, : len(found)] = [w for w, _ in found]
+        dists[i, : len(found)] = [d for _, d in found]
     return ids, dists
 
 
-def count_walks(forest):
-    """Record every best-bin-first walk the forest makes."""
+def record_walks(monkeypatch):
+    """Record every walk of a frame descent: ``(query, budget, walked rows)``."""
     calls = []
-    walk = forest._best_bin_first
-    forest._best_bin_first = lambda *args, **kwargs: calls.append(args) or walk(*args, **kwargs)
+    walks = _FrameDescent.walks
+
+    def recording(descent, queries, budget):
+        walked = walks(descent, queries, budget)
+        calls.extend((descent.q64[i].view(np.uint8), budget, rows) for i, rows in zip(queries, walked))
+        return walked
+
+    monkeypatch.setattr(_FrameDescent, "walks", recording)
     return calls
 
 
@@ -486,40 +500,38 @@ class TestBatchSearch:
         ids, dists = forest.knn_search_batch(queries, 5, 64)
         assert (dists[:, 1:] == dists[:, :-1]).any()
 
-    def test_walk_taken_exactly_when_leaves_hold_fewer_than_budget(self):
+    def test_walk_taken_exactly_when_leaves_hold_fewer_than_budget(self, monkeypatch):
         # A query is answered from its reached leaves only when they hold
         # at least `budget` distinct words; every other query walks.
         forest, queries = churned_forest("clustered", 4, seed=34)
         short = [i for i, q in enumerate(queries) if len(initial_leaf_rows(forest, q)) < 64]
         assert 0 < len(short) < len(queries)
-        walks = count_walks(forest)
+        walks = record_walks(monkeypatch)
         forest.knn_search_batch(queries, 2, 64)
-        walked = np.concatenate([args[0] for args in walks]).view(np.uint8)
+        walked = np.array([q for q, _, _ in walks])
         assert np.array_equal(walked, queries[short])
         walks.clear()
         forest.knn_search_batch(queries, 2, len(forest))
         assert walks == []
 
-    def test_seeded_walks_examine_the_rows_of_unseeded_walks(self):
+    def test_seeded_walks_examine_the_rows_of_unseeded_walks(self, monkeypatch):
         # The batch resumes each short query's walk from its own descent;
         # the walk examines the rows a walk descending every tree again does.
+        walks = record_walks(monkeypatch)
         for kind, num_trees, budgets in (
             ("clustered", 4, (64, 200)),
             ("uniform", 2, (32, 64)),
             ("clustered", 1, (16, 32)),
         ):
             forest, queries = churned_forest(kind, num_trees, seed=40 + num_trees)
-            walk = forest._best_bin_first
             for budget in budgets:
-                walks = []
-                forest._best_bin_first = lambda *args: walks.append((args, walk(*args))) or walks[-1][1]
+                walks.clear()
                 forest.knn_search_batch(queries, 2, budget)
-                del forest._best_bin_first
                 short = [i for i, q in enumerate(queries) if len(initial_leaf_rows(forest, q)) < budget]
                 assert len(walks) == len(short) > 0
-                for (q64, walk_budget, start), rows in walks:
-                    assert start is not None and walk_budget == budget
-                    assert sorted(rows) == sorted(walk(q64, budget))
+                for q, walk_budget, rows in walks:
+                    assert walk_budget == budget
+                    assert sorted(rows) == sorted(walk_rows(forest, q, budget))
 
     @pytest.mark.parametrize(
         "num_trees, leaf_capacity, budget, k",
@@ -534,7 +546,7 @@ class TestBatchSearch:
         forest, queries = churned_forest("clustered", num_trees, seed=39, leaf_capacity=leaf_capacity)
         leaf_sizes = np.array([len(initial_leaf_rows(forest, q)) for q in queries])
         walked = leaf_sizes < budget
-        walk_sizes = [len(forest._best_bin_first(q[None].view(np.uint64), budget)) for q in queries]
+        walk_sizes = [len(walk_rows(forest, q, budget)) for q in queries]
         sizes = np.where(walked, walk_sizes, leaf_sizes)
         assert walked.any() and not walked.all()
         if k == 5:
@@ -895,6 +907,29 @@ class TestInsert:
         assert handed.rng.integers(1 << 62) == own.rng.integers(1 << 62)
         assert handed._searched is None
         check_forest_invariants(handed, leaf_capacity=40)
+
+    def test_per_query_search_keeps_the_batch_record(self, monkeypatch):
+        # A traced run checks sampled queries with `knn_search` between a
+        # frame's batch search and its insert.  The per-query search keeps
+        # no record, so the insert still takes the batch's reached leaves
+        # and descends no tree, with the result of an insert given no search.
+        handed, own = (churned_forest("clustered", 4, seed=52)[0] for _ in range(2))
+        queries = near_copies_batch(handed, seed=52)
+        searched = np.arange(0, 100, 2)
+        for forest in (handed, own):
+            forest.knn_search_batch(queries, 2)
+            record = forest._searched
+            for q in queries[::10]:
+                forest.knn_search(q, 2)
+                forest.knn_search(q, 2, budget=len(forest))
+            assert forest._searched is record
+        roots = root_descents(monkeypatch)
+        handed.insert_batch(range(7000, 7050), queries[searched], searched)
+        assert roots == []
+        own.insert_batch(range(7000, 7050), queries[searched])
+        assert roots == [len(searched)] * len(own.trees)
+        assert forest_state(handed) == forest_state(own)
+        assert handed.rng.integers(1 << 62) == own.rng.integers(1 << 62)
 
     @pytest.mark.parametrize("change", [None, "remove", "insert_batch", "build", "other_descriptors"])
     def test_stale_search_descent_not_reused(self, change, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loopclose.bits import flip_random_bits, popcount, random_descriptors
+from loopclose.hamming_tree import _FrameDescent
 from loopclose.imgproc import FeatureSet
 from loopclose.synthetic import generate_synthetic
 from loopclose.vocabulary import VocabParams, Vocabulary
@@ -105,16 +106,20 @@ class TestAssignWords:
 
 
 class TestBatchedAssignment:
-    def test_equals_per_query_loop_over_churned_stream(self):
+    def test_equals_per_query_loop_over_churned_stream(self, monkeypatch):
         # Every frame of a 200-frame stream with merges, temporaries and
         # purges is assigned as the per-query loop assigns it, through both
-        # the batch answer and the per-query walk.
+        # the batch answer and the walk.
         frames, _ = generate_synthetic("new:120,revisit:0:80", n_features=120, seed=31)
         params = VocabParams(branching=8, leaf_capacity=40, num_trees=4, budget=64, seed=4)
         vocab = Vocabulary(frames[0], params)
-        walk = vocab.forest._best_bin_first
+        walk = _FrameDescent.walks
         walks = []
-        vocab.forest._best_bin_first = lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs)
+        monkeypatch.setattr(
+            _FrameDescent,
+            "walks",
+            lambda descent, queries, budget: walks.extend(queries.tolist()) or walk(descent, queries, budget),
+        )
         walked = features = deleted = merged = 0
         for frame, fs in enumerate(frames[1:], start=1):
             before = len(walks)
