@@ -44,7 +44,7 @@ from .geometry import (
     ratio_match,
     sampson_distance,
 )
-from .hamming_tree import HammingForest, HammingTree, Neighbor, TreeNode
+from .hamming_tree import HammingForest, HammingTree, Neighbor
 from .imgproc import (
     FeatureFileError,
     FeatureSet,

@@ -14,6 +14,7 @@ of the same kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class RansacParams:
             raise ValueError("max_iterations must be >= 1")
         if not self.inlier_threshold > 0:  # NaN too, which would accept no inlier
             raise ValueError(f"inlier_threshold must be > 0, got {self.inlier_threshold}")
+        # inf would make every match an inlier, and a square past the float
+        # range overflows where RANSAC caps its scores.
+        if not math.isfinite(float(self.inlier_threshold) * float(self.inlier_threshold)):
+            raise ValueError(f"inlier_threshold must have a finite square, got {self.inlier_threshold}")
 
 
 def ratio_match(

@@ -1,18 +1,18 @@
 """Randomized hierarchical clustering forest for binary descriptors.
 
-Each tree recursively partitions the descriptor set around randomly chosen
-cluster centres by Hamming distance until clusters fall below the leaf
-capacity.  Each internal node routes by its children's centres, value
-snapshots of the descriptors it was split around, kept in one ``(words,
-children)`` uint64 table of its own: a prune deletes the child's column,
-a centre reselection rewrites it, and nothing else holds a copy.
+Each tree partitions the descriptor set around randomly chosen cluster
+centres by Hamming distance until clusters fall below the leaf capacity.
+A tree is kept as int-indexed node and leaf tables (:class:`HammingTree`),
+one copy of each fact, which search, insert, remove and ``dump`` read in
+place.  Leaves record store rows; word ids are read from the store's
+row -> id array.
+
 Several trees are built over the same word set and searched together by
 one budgeted best-bin-first search, :meth:`HammingForest.knn_search_batch`;
 :meth:`HammingForest.knn_search` is its one-query case.  All queries
-descend every tree once, together, grouped by nearest child at each node,
-listing only the leaves some query reaches (:func:`_descend`).  A query
-whose reached leaves hold at least ``budget`` distinct words would pop
-nothing from its queue, so they are its answer.  Any other query walks
+descend every tree once, level by level (:meth:`HammingTree.descend`).
+A query whose reached leaves hold at least ``budget`` distinct words would
+pop nothing from its queue, so they are its answer.  Any other query walks
 (:meth:`_FrameDescent.walks`): each node its descent passed puts one
 entry for its unexplored children on the query's priority queue, keyed
 by the nearest one's centre distance, and the walk pops the queue until
@@ -20,8 +20,6 @@ a budget of distinct descriptors has been examined.  A descriptor reached
 through several trees is counted once.  Every search ranks its rows with
 one kernel, :meth:`DescriptorStore.top_k`, by an int64 key
 ``distance << id_bits | id``; word ids are checked to fit it when stored.
-Leaves record store rows only; word ids are read from the store's row ->
-id array where needed.
 
 The structure is fully online: words can be inserted (overflowing leaves
 are rebuilt in place) and removed (emptied nodes are pruned upward, and
@@ -30,19 +28,20 @@ centre from its remaining subtree).  Words enter the store through one
 checked call, :meth:`DescriptorStore.add`.
 :meth:`HammingForest.insert_batch` places a batch's words word by word,
 so the trees and rng draws are those of one insert per word.  A frame's
-new words are queries of its search, so they go into the leaves that
+new words are queries of its search, so they go into the leaf nodes that
 search reached, without a second descent.
 
 Concurrency contract: searches, per-query and batched, change no tree
-node and may run concurrently.  A batch writes only the forest's record
-of the leaves its queries reached; a per-query search writes none.  An
-insert uses that record only while the forest's shape epoch is unchanged
-(``build``, ``insert_batch`` and ``remove`` bump it; merges do not, as
-node centres are snapshots), and only for descriptors equal to the
-recorded queries: a descent depends on nothing else, so a record a
-concurrent batch overwrote is still right.  The insert releases it.
-Any mutation (insert, remove, descriptor merge) requires exclusive
-access to the forest.  Enforcement is up to the embedder.
+table and may run concurrently.  A batch writes only the forest's record
+of the leaf nodes its queries reached; a per-query search writes none.
+An insert uses that record only while the forest's shape epoch is
+unchanged (``build``, ``insert_batch`` and ``remove`` bump it; merges do
+not, as node centres are snapshots; only ``remove`` frees nodes), and
+only for descriptors equal to the recorded queries: a descent depends on
+nothing else, so a record a concurrent batch overwrote is still right.
+The insert releases it.  Any mutation (insert, remove, descriptor merge)
+requires exclusive access to the forest.  Enforcement is up to the
+embedder.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .bits import hamming, hamming_matrix, plane_distances
 
 __all__ = [
     "Neighbor",
-    "TreeNode",
     "HammingTree",
     "HammingForest",
     "DescriptorStore",
@@ -72,7 +70,9 @@ class Neighbor(NamedTuple):
     distance: int
 
 
-_MASKED = 1 << 30  # sentinel distance for the already-descended child
+_MASKED = 1 << 30  # sentinel distance of a child already taken, and of padding
+ROOT = 0  # node id of every tree's root
+_NODE_TABLES = ("child", "centres", "parent", "centre_word", "leaf")
 
 NO_DISTANCE = np.iinfo(np.int32).max  # distance padding of batch answers with fewer than k words
 _NO_KEY = np.iinfo(np.int64).max  # packed key of padding and duplicate rows
@@ -237,94 +237,21 @@ class DescriptorStore:
         return len(self._word_of)
 
 
-class TreeNode:
-    """A tree node; ``children is None`` marks a leaf, which lists the store
-    rows of its words in ``rows``.
-
-    An internal node owns its children's routing table: ``centres``, a
-    ``(words, children)`` uint64 matrix whose column ``c`` is a value
-    snapshot of the descriptor child ``c`` was clustered around, written
-    when the node splits or the child's centre is reselected; a leaf has
-    none.  ``centre_word`` is the word a node's own centre was taken from.
-    Snapshots are not updated when the live word is merged, so routing
-    stays stable while searches remain approximate.
-    """
-
-    __slots__ = ("centre_word", "parent", "children", "rows", "centres")
-
-    def __init__(self, centre_word=None, parent=None):
-        self.centre_word = centre_word
-        self.parent = parent
-        self.children: list[TreeNode] | None = None
-        self.rows: list[int] | None = None
-        self.centres: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    def child_distances(self, q64: np.ndarray) -> np.ndarray:
-        """Hamming distances from ``(m, words)`` queries (``uint64`` views) to each
-        child's centre: an ``(m, children)`` matrix."""
-        # The XOR is built word-major like the centres, (words, children,
-        # m), so its popcounts are summed over the leading axis in contiguous
-        # adds along the queries: as few numpy calls as one query needs.
-        return np.bitwise_count(self.centres[:, :, None] ^ q64.T[:, None, :]).sum(
-            axis=0, dtype=np.int32
-        ).T
-
-
-def _descend(node: TreeNode, q64: np.ndarray, visit=None) -> tuple[list[TreeNode], np.ndarray]:
-    """Descend from ``node`` with every ``(n, words)`` query at once,
-    grouped by nearest child at each internal node.
-
-    Returns ``(leaves, reached)``: the leaves some query reaches, each
-    listed once, and the index in ``leaves`` of the leaf each query
-    reaches.  At every node a query takes the first child of least centre
-    distance.  ``visit(node, idx, d, best)`` is called at each internal
-    node with the queries ``idx`` reaching it, their ``(len(idx),
-    children)`` centre distances and their nearest child; it may
-    overwrite ``d``.
-    """
-    leaves: list[TreeNode] = []
-    reached = np.empty(len(q64), dtype=np.int64)
-    stack = [(node, np.arange(len(q64)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.children is None:  # the start node; other leaves are listed by their parent
-            reached[idx] = len(leaves)
-            leaves.append(node)
-            continue
-        d = node.child_distances(q64[idx])
-        best = d.argmin(axis=1)
-        lines = np.full(len(node.children), -1)  # index in `leaves` of each reached leaf child
-        for c in np.flatnonzero(np.bincount(best, minlength=len(node.children))).tolist():
-            child = node.children[c]
-            if child.children is None:
-                lines[c] = len(leaves)
-                leaves.append(child)
-            else:
-                stack.append((child, idx[best == c]))
-        # Queries sent to an internal child are written again below it.
-        reached[idx] = lines[best]
-        if visit is not None:
-            visit(node, idx, d, best)
-    return leaves, reached
-
-
-def iter_leaves(node: TreeNode) -> Iterator[TreeNode]:
-    """Yield every leaf under ``node``."""
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            yield n
-        else:
-            stack.extend(reversed(n.children))
-
-
 class HammingTree:
-    """One clustering tree over the word set of a shared descriptor store."""
+    """One clustering tree over the word set of a shared descriptor store,
+    kept in int-indexed tables.
+
+    Per node (the root is ``ROOT``): ``child``, its child ids, -1 after the
+    last; ``centres``, its ``(words, branching)`` uint64 routing table,
+    whose column ``c`` is a value snapshot of the descriptor child ``c`` was
+    clustered around (merging that word leaves it, so routing stays stable
+    while searches remain approximate); ``parent`` and ``centre_word``, the
+    word the node's centre was taken from (both -1 at the root); ``leaf``,
+    its leaf slot (-1 when internal).  Per leaf slot: ``rows``, its store
+    rows in insertion order, padded with -1, and ``fill``, their count.
+    ``leaf_of`` maps a store row to its leaf node (-1: none).  Freed node
+    ids and leaf slots are reused from free lists.
+    """
 
     def __init__(self, store: DescriptorStore, branching: int, leaf_capacity: int, rng: np.random.Generator):
         if branching < 2:
@@ -335,126 +262,211 @@ class HammingTree:
         self.branching = branching
         self.leaf_capacity = leaf_capacity
         self.rng = rng
-        self.root = TreeNode()
-        self.root.rows = []
-        self._leaf_of: dict[int, TreeNode] = {}
+        self.build(())
 
     # -- construction -------------------------------------------------
 
     def build(self, word_ids) -> None:
         """(Re)build the whole tree over the given word ids."""
-        self._leaf_of.clear()
-        self.root = TreeNode()
+        self.child = np.full((1, self.branching), -1, dtype=np.int64)
+        self.centres = np.zeros((1, self.store.nbytes // 8, self.branching), dtype=np.uint64)
+        self.parent, self.centre_word, self.leaf = np.full((3, 1), -1, dtype=np.int64)
+        # A leaf holds fewer words than the capacity, or a single one.
+        self.rows = np.full((1, max(self.leaf_capacity - 1, 1)), -1, dtype=np.int64)
+        self.fill = np.zeros(1, dtype=np.int64)
+        self.leaf_of = np.full(self.store.capacity, -1, dtype=np.int64)
+        self._free_nodes: list[int] = []
+        self._free_leaves = [0]
         rows = np.fromiter((self.store.row(i) for i in word_ids), dtype=np.int64)
-        self._build_into(self.root, rows)
+        self._build_into(ROOT, rows)
 
-    def _build_into(self, node: TreeNode, rows: np.ndarray) -> None:
-        if len(rows) < self.leaf_capacity or len(rows) < 2:
-            node.children = node.centres = None
-            node.rows = rows.tolist()
-            self._leaf_of.update(dict.fromkeys(self.store.ids_at(rows).tolist(), node))
-            return
+    def _build_into(self, node: int, rows: np.ndarray) -> None:
+        """Build the subtree of ``node`` over ``rows`` from a work list that
+        splits nodes depth first, children in order, so the rng draws come
+        in the order of a recursive build."""
+        work = [(node, rows)]
+        while work:
+            node, rows = work.pop()
+            if len(rows) < self.leaf_capacity or len(rows) < 2:
+                self._make_leaf(node, rows)
+                continue
+            k = min(self.branching, len(rows))
+            centre_pos = np.sort(self.rng.choice(len(rows), size=k, replace=False))
+            descs = self.store.gather(rows)
+            centres = descs[centre_pos]
+            assign = np.argmin(hamming_matrix(descs, centres), axis=1)
+            if len(np.unique(assign)) < 2:
+                # Degenerate split (duplicate descriptors): force progress.
+                assign = np.arange(len(rows)) % k
+            kept = np.flatnonzero(np.bincount(assign, minlength=k))  # the centres with members
+            if self.leaf[node] >= 0:  # a leaf rebuilt in place
+                self._free_leaves.append(int(self.leaf[node]))
+                self.leaf[node] = -1
+            kids = [self._take(self._free_nodes, _NODE_TABLES) for _ in kept]
+            self.child[node, : len(kids)] = kids
+            self.centres[node, :, : len(kids)] = centres[kept].view(np.uint64).T
+            self.parent[kids] = node
+            self.centre_word[kids] = self.store.ids_at(rows[centre_pos[kept]])
+            work.extend((kid, rows[assign == c]) for kid, c in zip(kids[::-1], kept[::-1].tolist()))
 
-        k = min(self.branching, len(rows))
-        centre_pos = np.sort(self.rng.choice(len(rows), size=k, replace=False))
-        descs = self.store.gather(rows)
-        centres = descs[centre_pos]
-        assign = np.argmin(hamming_matrix(descs, centres), axis=1)
-        if len(np.unique(assign)) < 2:
-            # Degenerate split (duplicate descriptors): force progress.
-            assign = np.arange(len(rows)) % k
+    def _take(self, free: list[int], tables: tuple[str, ...]) -> int:
+        """An id off a free list, its tables doubled if the list is empty.
+        A free node has no children and no leaf slot: -1 in both tables."""
+        if not free:
+            size = len(getattr(self, tables[0]))
+            for name in tables:
+                table = getattr(self, name)
+                blank = -1 if name in ("child", "leaf") else 0
+                setattr(self, name, np.concatenate([table, np.full_like(table, blank)]))
+            free[:0] = range(2 * size - 1, size - 1, -1)
+        return free.pop()
 
-        kept = np.flatnonzero(np.bincount(assign, minlength=k))  # the centres with members
-        node.rows = None
-        node.children = []
-        node.centres = np.ascontiguousarray(centres[kept].view(np.uint64).T)
-        centre_words = self.store.ids_at(rows[centre_pos]).tolist()
-        for ci in kept.tolist():
-            child = TreeNode(centre_word=centre_words[ci], parent=node)
-            self._build_into(child, rows[assign == ci])
-            node.children.append(child)
+    def _make_leaf(self, node: int, rows: np.ndarray) -> None:
+        slot = self.leaf[node] = self._take(self._free_leaves, ("rows", "fill"))
+        self.rows[slot] = -1
+        self.rows[slot, : len(rows)] = rows
+        self.fill[slot] = len(rows)
+        self.leaf_of[rows] = node
 
     # -- online updates -----------------------------------------------
 
-    def place(self, word_id: int, q64: np.ndarray, leaf: TreeNode) -> None:
+    def descend(self, q64: np.ndarray, start: int = ROOT) -> tuple[np.ndarray, list]:
+        """Descend from node ``start`` with all ``(n, words)`` queries at once,
+        level by level: a gather of routing tables (at the first level the
+        start's, broadcast), one XOR and popcount and one argmin per level.
+
+        Returns ``(reached, levels)``: each query's leaf node and, per level,
+        ``(queries, nodes, distances, best)``: the queries at internal nodes,
+        those nodes, their ``(m, branching)`` centre distances with padding
+        set to ``_MASKED``, and the child each takes, the first nearest.
+        """
+        queries, nodes, levels = np.arange(len(q64)), np.full(len(q64), start), []
+        if self.leaf.item(start) >= 0 or len(q64) == 0:
+            return nodes, levels
+        reached, q = None, q64[:, :, None]
+        table, kids = self.centres[start], self.child[start : start + 1]
+        while True:
+            d = np.bitwise_count(table ^ q).sum(axis=1, dtype=np.int32)
+            np.copyto(d, _MASKED, where=kids < 0)
+            best = d.argmin(axis=1)
+            levels.append((queries, nodes, d, best))
+            nodes = kids[0].take(best) if len(kids) == 1 else kids[np.arange(len(best)), best]
+            kids = self.child.take(nodes, axis=0)
+            inner = kids[:, 0] >= 0
+            left = np.count_nonzero(inner)
+            if left < len(inner):
+                # Queries at a leaf drop out; until the first does, ``nodes`` has them all.
+                if reached is None:
+                    reached = nodes
+                else:
+                    reached[queries] = nodes
+                if left == 0:
+                    return reached, levels
+                queries, nodes, kids = queries[inner], nodes[inner], kids[inner]
+                q = q64[queries][:, :, None]
+            table = self.centres.take(nodes, axis=0)
+
+    def place(self, word_id: int, q64: np.ndarray, leaf: int) -> None:
         """Insert a stored word whose ``(1, words)`` descriptor reached ``leaf``.
 
         A leaf rebuilt since the descent reached it is descended further.
         If the leaf can take one more entry it is appended, otherwise the
         leaf node is rebuilt in place over its descriptors plus the new one.
         """
-        if leaf.children is not None:
-            leaves, reached = _descend(leaf, q64)
-            leaf = leaves[reached[0]]
+        if self.leaf.item(leaf) < 0:
+            leaf = self.descend(q64, leaf)[0].item(0)
         row = self.store.row(word_id)
-        if len(leaf.rows) + 1 < self.leaf_capacity:
-            leaf.rows.append(row)
-            self._leaf_of[word_id] = leaf
+        if row >= len(self.leaf_of):  # the store grew
+            grown = self.store.capacity - len(self.leaf_of)
+            self.leaf_of = np.pad(self.leaf_of, (0, grown), constant_values=-1)
+        slot = self.leaf.item(leaf)
+        n = self.fill.item(slot)
+        if n + 1 < self.leaf_capacity:
+            self.rows[slot, n] = row
+            self.fill[slot] = n + 1
+            self.leaf_of[row] = leaf
         else:
-            self._build_into(leaf, np.array(leaf.rows + [row], dtype=np.int64))
+            self._build_into(leaf, np.append(self.rows[slot, :n], row))
 
     def remove(self, word_id: int) -> None:
         """Remove a word; prune emptied nodes and reselect orphaned centres."""
-        leaf = self._leaf_of.pop(word_id, None)
-        if leaf is None:
+        row = self.store.row(word_id)
+        node = self.leaf_of.item(row)
+        if node < 0:
             raise KeyError(f"word {word_id} not in tree")
-        leaf.rows.remove(self.store.row(word_id))
+        self.leaf_of[row] = -1
+        slot = self.leaf.item(node)
+        n = self.fill.item(slot)
+        line = self.rows[slot]
+        i = line[:n].tolist().index(row)
+        line[i : n - 1] = line[i + 1 : n]  # shifted, not swapped: a leaf rebuild draws in row order
+        line[n - 1] = -1
+        self.fill[slot] = n - 1
 
-        node = leaf
-        while node.parent is not None and self._is_empty(node):
-            parent = node.parent
-            c = parent.children.index(node)
-            del parent.children[c]
-            parent.centres = np.delete(parent.centres, c, axis=1)
+        # An emptied leaf is pruned, then each parent it leaves without children.
+        while n == 1 and node != ROOT and self.child.item(node, 0) < 0:
+            parent = self.parent.item(node)
+            c = self.child[parent].tolist().index(node)
+            self.child[parent, c:] = np.append(self.child[parent, c + 1 :], -1)
+            self.centres[parent, :, c:-1] = self.centres[parent, :, c + 1 :]
+            if self.leaf.item(node) >= 0:
+                self._free_leaves.append(self.leaf.item(node))
+                self.leaf[node] = -1
+            self._free_nodes.append(node)
             node = parent
-        if node is self.root and not node.is_leaf and not node.children:
-            node.children = node.centres = None
-            node.rows = []
+        if node == ROOT and self.leaf.item(ROOT) < 0 and self.child.item(ROOT, 0) < 0:
+            self._make_leaf(ROOT, np.empty(0, dtype=np.int64))
 
         # Pruning stopped at ``node``: it and its ancestors are exactly the
         # surviving nodes on the removed word's path, bottom-up.
-        while node is not None:
-            if node.children and node.centre_word == word_id:
+        while node >= 0:
+            if self.centre_word.item(node) == word_id and self.child.item(node, 0) >= 0:
                 self._reselect_centre(node)
-            node = node.parent
+            node = self.parent.item(node)
 
-    @staticmethod
-    def _is_empty(node: TreeNode) -> bool:
-        return (not node.rows) if node.is_leaf else (not node.children)
-
-    def _reselect_centre(self, node: TreeNode) -> None:
-        subtree_rows = [r for leaf in iter_leaves(node) for r in leaf.rows]
+    def _reselect_centre(self, node: int) -> None:
+        subtree_rows = [r for n, _ in self._walk(node) for r in self.leaf_rows(n)]
         if not subtree_rows:
             return
         new_row = subtree_rows[int(self.rng.integers(len(subtree_rows)))]
-        node.centre_word = int(self.store.ids_at(new_row))
+        self.centre_word[node] = self.store.ids_at(new_row)
         # Only the root has no parent, and the root has no centre word.
-        parent = node.parent
-        parent.centres[:, parent.children.index(node)] = self.store.gather(new_row).view(np.uint64)
+        parent = self.parent.item(node)
+        c = self.child[parent].tolist().index(node)
+        self.centres[parent, :, c] = self.store.gather(new_row).view(np.uint64)
 
     # -- introspection ------------------------------------------------
 
+    def _walk(self, node: int = ROOT) -> Iterator[tuple[int, int]]:
+        """Nodes under ``node`` with their depth below it, parents first, children in order."""
+        stack = [(node, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            stack.extend((kid, depth + 1) for kid in reversed(self.child[node].tolist()) if kid >= 0)
+
+    def leaf_rows(self, node: int) -> list[int]:
+        """Store rows of a leaf node, in order; none for an internal node."""
+        slot = self.leaf.item(node)
+        return self.rows[slot, : self.fill.item(slot)].tolist() if slot >= 0 else []
+
     def all_ids(self) -> set[int]:
-        return set(self._leaf_of)
+        return set(self.store.ids_at(np.flatnonzero(self.leaf_of >= 0)).tolist())
 
     def leaf_sizes(self) -> list[int]:
-        return [len(leaf.rows) for leaf in iter_leaves(self.root)]
+        return [len(self.leaf_rows(n)) for n, _ in self._walk() if self.leaf.item(n) >= 0]
 
     def dump(self) -> str:
         """Tree shape as indented text, for golden-file comparisons."""
         lines: list[str] = []
-
-        def walk(node: TreeNode, depth: int) -> None:
-            tag = "root" if node.centre_word is None else f"c=w{node.centre_word}"
-            if node.is_leaf:
-                ids = ",".join(f"w{i}" for i in self.store.ids_at(node.rows))
+        for node, depth in self._walk():
+            word = self.centre_word.item(node)
+            tag = "root" if word < 0 else f"c=w{word}"
+            if self.leaf.item(node) >= 0:
+                ids = ",".join(f"w{i}" for i in self.store.ids_at(self.leaf_rows(node)))
                 lines.append("  " * depth + f"leaf {tag} [{ids}]")
             else:
                 lines.append("  " * depth + f"node {tag}")
-                for child in node.children:
-                    walk(child, depth + 1)
-
-        walk(self.root, 0)
         return "\n".join(lines)
 
 
@@ -489,7 +501,8 @@ class HammingForest:
         ]
         self._shape_epoch = 0  # bumped by every change of a tree's shape or centres
         # The last batch search, if any: (epoch, copy of its (n, words)
-        # queries, (n, trees) index in `leaves` of each one's leaves, leaves).
+        # queries, (n, trees) leaf node each one reached in each tree).  No
+        # node is freed while the epoch holds, so the node ids stay valid.
         self._searched = None
 
     def __len__(self) -> int:
@@ -536,21 +549,18 @@ class HammingForest:
         self._searched = None
         self._shape_epoch += 1
         if targets is None:
-            targets = []
-            for tree in self.trees:
-                leaves, reached = _descend(tree.root, q64)
-                targets.append([leaves[i] for i in reached.tolist()])
+            targets = [tree.descend(q64)[0] for tree in self.trees]
         for i, word_id in enumerate(word_ids):
             q = q64[i, None]
             for tree, leaves in zip(self.trees, targets):
-                tree.place(word_id, q, leaves[i])
+                tree.place(word_id, q, int(leaves[i]))
 
-    def _searched_leaves(self, q64: np.ndarray, searched) -> list[list[TreeNode]] | None:
-        """Per tree, the leaf each descriptor reached as the last batch
+    def _searched_leaves(self, q64: np.ndarray, searched) -> np.ndarray | None:
+        """Per tree, the leaf node each descriptor reached as the last batch
         search's queries ``searched``, if that search is still valid for them."""
         if searched is None or self._searched is None:
             return None
-        epoch, queries, reached, leaves = self._searched
+        epoch, queries, reached = self._searched
         searched = np.asarray(searched, dtype=np.int64)
         if (
             epoch != self._shape_epoch
@@ -559,7 +569,7 @@ class HammingForest:
             or not np.array_equal(queries[searched], q64)
         ):
             return None
-        return [[leaves[j] for j in column] for column in reached[searched].T.tolist()]
+        return reached[searched].T
 
     def remove(self, word_id: int) -> None:
         self._shape_epoch += 1
@@ -608,7 +618,7 @@ class HammingForest:
         q64 = np.ascontiguousarray(queries).view(np.uint64)
         ids, dists, descent = self._search(q64, k, self.budget if budget is None else budget)
         if descent is not None:
-            self._searched = (self._shape_epoch, q64.copy(), descent.reached, descent.leaves)
+            self._searched = (self._shape_epoch, q64.copy(), descent.reached)
         return ids, dists
 
     def _search(
@@ -619,14 +629,13 @@ class HammingForest:
 
         A budget covering the live vocabulary ranks every live word: a
         walk would examine them all.  Otherwise each tree is descended
-        once, by all queries together, grouped by their nearest child at
-        every node.  A query whose reached leaves hold at least ``budget``
-        rows in all has them ranked as one line by
-        :meth:`DescriptorStore.top_k`, which counts each row once.  If the
-        line holds at least ``budget`` distinct words that answer stands:
-        the walk would pop no queued sibling and examine exactly those
-        words.  The other queries walk (:meth:`_FrameDescent.walks`) and
-        are ranked from their walked rows.
+        once, by all queries together, level by level.  A query whose
+        reached leaves hold at least ``budget`` rows in all has them
+        ranked as one line by :meth:`DescriptorStore.top_k`, which counts
+        each row once.  If the line holds at least ``budget`` distinct
+        words that answer stands: the walk would pop no queued sibling and
+        examine exactly those words.  The other queries walk
+        (:meth:`_FrameDescent.walks`) and are ranked from their walked rows.
         """
         k = max(k, 0)
         n = len(q64)
@@ -641,140 +650,131 @@ class HammingForest:
                 ids[chunk], dists[chunk], _ = self.store.top_k(q64[chunk], rows, k)
             return ids, dists, None
         descent = _FrameDescent(self.trees, q64)
-        reached = descent.reached
-        sizes = descent.leaf_size[reached]
         # Summed leaf sizes bound the distinct words, so only these can stand.
-        full = np.flatnonzero(sizes.sum(axis=1) >= budget)
+        full = np.flatnonzero(descent.sizes.sum(axis=1) >= budget)
         ids[full], dists[full], counts = self._rank_lines(
-            q64[full], descent.leaf_flat, descent.leaf_start[reached[full]], sizes[full], k
+            q64[full], descent.sizes[full], lambda chunk: descent.rows(full[chunk]), k
         )
         short = np.setdiff1d(np.arange(n), full[counts >= budget])
         if len(short):
             walked = descent.walks(short, budget)
-            sizes = np.fromiter(map(len, walked), dtype=np.int64, count=len(walked))
-            flat = np.fromiter(chain.from_iterable(walked), dtype=np.int64, count=int(sizes.sum()))
+            sizes = np.fromiter(map(len, walked), dtype=np.int64, count=len(walked))[:, None]
             ids[short], dists[short], _ = self._rank_lines(
-                q64[short], flat, (np.cumsum(sizes) - sizes)[:, None], sizes[:, None], k
+                q64[short], sizes, lambda c: np.fromiter(chain.from_iterable(walked[i] for i in c), np.int64), k
             )
         return ids, dists, descent
 
     def _rank_lines(
-        self, q64: np.ndarray, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray, k: int
+        self, q64: np.ndarray, sizes: np.ndarray, lines, k: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`DescriptorStore.top_k` of each query over its own line of
-        rows, the runs ``flat[starts[i, j]:starts[i, j] + sizes[i, j]]``.
+        rows: ``sizes[i]`` are the lengths of the parts of line ``i``, and
+        ``lines(chunk)`` the rows of the queries at ``chunk``, line by line.
 
         Queries are ranked in chunks of ``_CHUNK`` ordered by line length,
-        so each table is only as wide as its longest line.
+        each a table as wide as its longest line, padded with -1.
         """
         n = len(q64)
         ids = np.empty((n, k), dtype=np.int64)
         dists = np.empty((n, k), dtype=np.int32)
         counts = np.empty(n, dtype=np.int64)
-        order = np.argsort(sizes.sum(axis=1), kind="stable")
+        lengths = sizes.sum(axis=1)
+        order = np.argsort(lengths, kind="stable")
         for s in range(0, n, _CHUNK):
             chunk = order[s : s + _CHUNK]
-            rows = _lines(flat, starts[chunk], sizes[chunk])
-            ids[chunk], dists[chunk], counts[chunk] = self.store.top_k(q64[chunk], rows, k)
+            table = np.full((len(chunk), int(lengths[chunk].max())), -1, dtype=np.int64)
+            table[np.arange(table.shape[1]) < lengths[chunk, None]] = lines(chunk)
+            ids[chunk], dists[chunk], counts[chunk] = self.store.top_k(q64[chunk], table, k)
         return ids, dists, counts
 
 
 class _FrameDescent:
     """Every tree descended once by all ``(n, words)`` queries together.
 
-    Keeps the leaves some query reaches, with their rows flattened, the
-    one each query reaches in each tree and, for every node with several
-    children, the centre distances of the queries passing it, from which
-    :meth:`walks` builds the heap entries of the walking queries.
+    Keeps the leaf node each query reaches in each tree, ``reached``, its
+    leaf slot and row count, ``slots`` and ``sizes``, and each tree's level
+    records, from which :meth:`walks` builds the heap entries of the walking
+    queries.  Leaf rows are read from the trees' tables in place.
     """
 
     def __init__(self, trees: list[HammingTree], q64: np.ndarray):
+        self.trees = trees
         self.q64 = q64
-        self.leaves: list[TreeNode] = []
-        self.reached = np.empty((len(q64), len(trees)), dtype=np.int64)
-        self._visits = []  # (queries, children, their centre distances, nearest child)
+        self.reached, self.slots, self.sizes = np.empty((3, len(q64), len(trees)), dtype=np.int64)
+        self._levels = []  # per tree, the levels of its descent
         for t, tree in enumerate(trees):
-            tree_leaves, tree_reached = _descend(tree.root, q64, self._visit)
-            self.reached[:, t] = tree_reached + len(self.leaves)
-            self.leaves.extend(tree_leaves)
-        self.leaf_size = np.fromiter(
-            (len(leaf.rows) for leaf in self.leaves), dtype=np.int64, count=len(self.leaves)
-        )
-        self.leaf_flat = np.fromiter(
-            chain.from_iterable(leaf.rows for leaf in self.leaves),
-            dtype=np.int64,
-            count=int(self.leaf_size.sum()),
-        )
-        self.leaf_start = np.cumsum(self.leaf_size) - self.leaf_size
+            self.reached[:, t], levels = tree.descend(q64)
+            self.slots[:, t] = tree.leaf[self.reached[:, t]]
+            self.sizes[:, t] = tree.fill[self.slots[:, t]]
+            self._levels.append(levels)
 
-    def _visit(self, node: TreeNode, idx: np.ndarray, d: np.ndarray, best: np.ndarray) -> None:
-        if len(node.children) > 1:
-            self._visits.append((idx, node.children, d, best))
+    def rows(self, queries: np.ndarray) -> np.ndarray:
+        """The rows of the leaves each of ``queries`` reaches, tree by tree,
+        query after query."""
+        widths = self.sizes[queries].max(axis=0).tolist()
+        slots = self.slots[queries].T
+        block = np.concatenate([t.rows[s, :w] for t, s, w in zip(self.trees, slots, widths)], axis=1)
+        return block[block >= 0]
 
     def walks(self, queries: np.ndarray, budget: int) -> list[list[int]]:
         """Store rows the best-bin-first walk of each of ``queries`` examines.
 
-        A heap entry ``(key, tick, children, distances, pos)`` stands for
-        the unexplored children of one node: their centre distances, with
-        the children already taken masked, and ``pos``, the first child of
-        least distance ``key`` among the rest.  One pass over the recorded
-        visits, which run in tree order and top-down within a tree, gives
-        each query the entries of the nodes its descent passed, ticked in
-        that order.  A walk starts from the rows of its reached leaves and
-        pops until ``budget`` distinct rows are examined or its queue
-        drains.  A popped entry is pushed again for its next child before
-        that child is descended, so ticks order equal keys by push.
+        A heap entry ``(key, tick, tree, node, distances, line, pos)`` stands
+        for the unexplored children of one node: their centre distances, row
+        ``line`` of ``distances``, with the children already taken and the
+        padding masked, and ``pos``, the first child of least distance
+        ``key`` among the rest.  One pass over
+        the recorded levels, which run in tree order and top-down within a
+        tree, gives each query the entries of the nodes with several
+        children its descent passed, ticked in that order.  A walk starts
+        from the rows of its reached leaves and pops until ``budget``
+        distinct rows are examined or its queue drains.  A popped entry is
+        pushed again for its next child before that child is descended, so
+        ticks order equal keys by push.
         """
-        slot = np.full(len(self.reached), -1)
-        slot[queries] = np.arange(len(queries))
+        walker = np.full(len(self.reached), -1)
+        walker[queries] = np.arange(len(queries))
         heaps: list[list] = [[] for _ in range(len(queries))]
-        for idx, children, d, best in self._visits:
-            lines = np.flatnonzero(slot[idx] >= 0)
-            if len(lines) == 0:
-                continue
-            d = d[lines]  # a copy: each walk masks its own row
-            at = np.arange(len(lines))
-            d[at, best[lines]] = _MASKED
-            pos = d.argmin(axis=1)
-            for s, key, row, p in zip(slot[idx[lines]].tolist(), d[at, pos].tolist(), d, pos.tolist()):
-                heaps[s].append((key, len(heaps[s]), children, row, p))
-        walked = []
-        for heap, i in zip(heaps, queries.tolist()):
+        for tree, levels in zip(self.trees, self._levels):
+            for idx, nodes, d, best in levels:
+                lines = np.flatnonzero((walker[idx] >= 0) & (tree.child[nodes, 1] >= 0))
+                if len(lines) == 0:
+                    continue
+                d = d[lines]  # a copy: each walk masks its own row
+                at = np.arange(len(lines))
+                d[at, best[lines]] = _MASKED
+                pos = d.argmin(axis=1)
+                for line, (s, key, node, p) in enumerate(
+                    zip(walker[idx[lines]].tolist(), d[at, pos].tolist(), nodes[lines].tolist(), pos.tolist())
+                ):
+                    heaps[s].append((key, len(heaps[s]), tree, node, d, line, p))
+        flat, sizes = self.rows(queries).tolist(), self.sizes[queries].sum(axis=1)
+        heappush, heappop, walked = heapq.heappush, heapq.heappop, []
+        for heap, i, end, size in zip(heaps, queries.tolist(), np.cumsum(sizes).tolist(), sizes.tolist()):
+            seen = set(flat[end - size : end])
             q64 = self.q64[i, None]
-            seen = set(chain.from_iterable(self.leaves[j].rows for j in self.reached[i].tolist()))
             tick = _counter(len(heap))
             # Entries are distinct (key, tick) pairs, so they pop in the same
             # order however the heap was built.
             heapq.heapify(heap)
             while heap and len(seen) < budget:
-                _, _, children, d, pos = heapq.heappop(heap)
+                _, _, tree, node, block, line, pos = heappop(heap)
+                d = block[line]
                 d[pos] = _MASKED
-                after = int(d.argmin())
-                if d[after] < _MASKED:
-                    heapq.heappush(heap, (int(d[after]), next(tick), children, d, after))
-                node = children[pos]
-                while node.children is not None:
-                    d = node.child_distances(q64)[0]
-                    best = int(d.argmin())
-                    if len(node.children) > 1:
-                        d[best] = _MASKED
-                        pos = int(d.argmin())
-                        heapq.heappush(heap, (int(d[pos]), next(tick), node.children, d, pos))
-                    node = node.children[best]
-                seen.update(node.rows)
+                after = d.argmin()
+                if d.item(after) < _MASKED:
+                    heappush(heap, (d.item(after), next(tick), tree, node, block, line, after))
+                node = tree.child.item(node, pos)
+                slot = tree.leaf.item(node)
+                if slot < 0:
+                    reached, levels = tree.descend(q64, node)
+                    for _, node, d, best in levels:  # one query: one node per level
+                        node = node.item(0)
+                        if tree.child.item(node, 1) >= 0:
+                            d[0, best.item(0)] = _MASKED
+                            pos = d.argmin()
+                            heappush(heap, (d.item(pos), next(tick), tree, node, d, 0, pos))
+                    slot = tree.leaf.item(reached.item(0))
+                seen.update(tree.rows[slot, : tree.fill.item(slot)].tolist())
             walked.append(list(seen))
         return walked
-
-
-def _lines(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """A table of ``(m, s)`` runs of ``flat``: line ``i`` joins the runs
-    ``flat[starts[i, j]:starts[i, j] + sizes[i, j]]`` in order, and every
-    line is padded with -1 to the longest."""
-    lengths = sizes.sum(axis=1)
-    table = np.full((len(sizes), int(lengths.max())), -1, dtype=np.int64)
-    sizes = sizes.ravel()
-    ends = np.cumsum(sizes)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = flat[
-        np.repeat(starts.ravel() + sizes - ends, sizes) + np.arange(ends[-1])
-    ]
-    return table

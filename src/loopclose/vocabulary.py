@@ -52,14 +52,18 @@ class VocabParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.branching < 2 or self.leaf_capacity < 1 or self.num_trees < 1:
-            raise ValueError("invalid forest parameters")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        for name, least in (
+            ("branching", 2),
+            ("leaf_capacity", 1),
+            ("num_trees", 1),
+            ("budget", 1),
+            ("probation_frames", 1),
+            ("required_matches", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must be in (0, 1)")
-        if self.probation_frames < 1 or self.required_matches < 1:
-            raise ValueError("probation_frames and required_matches must be >= 1")
 
 
 @dataclass(slots=True)

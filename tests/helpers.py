@@ -14,7 +14,7 @@ import numpy as np
 
 from loopclose.bits import hamming, hamming_matrix
 from loopclose.geometry import EstimationFailedError, RansacParams
-from loopclose.hamming_tree import HammingForest, HammingTree, Neighbor, TreeNode, iter_leaves
+from loopclose.hamming_tree import ROOT, HammingForest, HammingTree, Neighbor
 from loopclose.imgproc import BORDER_MARGIN, FeatureSet, sampling_pattern
 
 
@@ -50,7 +50,7 @@ def walk_rows(forest: HammingForest, q: np.ndarray, budget: int) -> list[int]:
     """Store rows the best-bin-first walk of one descriptor examines,
     descending every tree from its root.
 
-    Each node passed pushes one heap entry ``(key, tick, children,
+    Each node passed pushes one heap entry ``(key, tick, tree, children,
     distances, pos)`` for its unexplored children: their centre distances
     with the children taken masked, and ``pos``, the first of least
     distance ``key`` among the rest.  Entries are popped until ``budget``
@@ -62,26 +62,27 @@ def walk_rows(forest: HammingForest, q: np.ndarray, budget: int) -> list[int]:
     tick = itertools.count()
     seen: set[int] = set()
 
-    def descend(node: TreeNode) -> None:
-        while not node.is_leaf:
-            d = hamming_matrix(q[None], np.stack(centre_columns(node)))[0]
+    def descend(tree: HammingTree, node: int) -> None:
+        while not is_leaf(tree, node):
+            d = hamming_matrix(q[None], np.stack(centre_columns(tree, node)))[0]
             best = int(d.argmin())
-            if len(node.children) > 1:
+            kids = children(tree, node)
+            if len(kids) > 1:
                 d[best] = masked
                 pos = int(d.argmin())
-                heapq.heappush(heap, (int(d[pos]), next(tick), node.children, d, pos))
-            node = node.children[best]
-        seen.update(node.rows)
+                heapq.heappush(heap, (int(d[pos]), next(tick), tree, kids, d, pos))
+            node = kids[best]
+        seen.update(leaf_rows(tree, node))
 
     for tree in forest.trees:
-        descend(tree.root)
+        descend(tree, ROOT)
     while heap and len(seen) < budget:
-        _, _, children, d, pos = heapq.heappop(heap)
+        _, _, tree, kids, d, pos = heapq.heappop(heap)
         d[pos] = masked
         after = int(d.argmin())
         if d[after] < masked:
-            heapq.heappush(heap, (int(d[after]), next(tick), children, d, after))
-        descend(children[pos])
+            heapq.heappush(heap, (int(d[after]), next(tick), tree, kids, d, after))
+        descend(tree, kids[pos])
     return list(seen)
 
 
@@ -95,25 +96,56 @@ def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> li
     return [Neighbor(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist())]
 
 
-def plain_descent(tree: HammingTree, q: np.ndarray) -> TreeNode:
-    """The leaf one descriptor reaches, taking at each node the first child
-    of least Hamming distance to its centre, the child's column of the
-    node's routing table."""
-    node = tree.root
-    while not node.is_leaf:
-        dists = [hamming(q, centre) for centre in centre_columns(node)]
-        node = node.children[dists.index(min(dists))]
+# ---------------------------------------------------------------------------
+# Tree table readers: a node's children, routing table and rows
+# ---------------------------------------------------------------------------
+
+def is_leaf(tree: HammingTree, node: int) -> bool:
+    return tree.leaf[node] >= 0
+
+
+def children(tree: HammingTree, node: int) -> list[int]:
+    """Child node ids of a node, in order: its ``child`` entries before
+    the first -1."""
+    kids = tree.child[node].tolist()
+    return kids[: kids.index(-1)] if -1 in kids else kids
+
+
+def leaf_rows(tree: HammingTree, node: int) -> list[int]:
+    """Store rows a leaf node lists, read from its slot of the leaf table."""
+    slot = tree.leaf[node]
+    return tree.rows[slot, : tree.fill[slot]].tolist()
+
+
+def all_nodes(tree: HammingTree, node: int = ROOT) -> list[int]:
+    """Every node of a subtree, parents before children, children in order."""
+    stack, nodes = [node], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(children(tree, node)))
+    return nodes
+
+
+def plain_descent(tree: HammingTree, q: np.ndarray) -> int:
+    """The leaf node one descriptor reaches, taking at each node the first
+    child of least Hamming distance to its centre, the child's column of
+    the node's routing table."""
+    node = ROOT
+    while not is_leaf(tree, node):
+        dists = [hamming(q, centre) for centre in centre_columns(tree, node)]
+        node = children(tree, node)[dists.index(min(dists))]
     return node
 
 
-def centre_columns(node: TreeNode) -> list[np.ndarray]:
+def centre_columns(tree: HammingTree, node: int) -> list[np.ndarray]:
     """Each child's centre of an internal node as a uint8 descriptor."""
-    return [column.copy().view(np.uint8) for column in node.centres.T]
+    return [tree.centres[node, :, c].copy().view(np.uint8) for c in range(len(children(tree, node)))]
 
 
 def initial_leaf_rows(forest: HammingForest, q: np.ndarray) -> set[int]:
     """Store rows of the leaves one query reaches by plain descent, over all trees."""
-    return {r for tree in forest.trees for r in plain_descent(tree, q).rows}
+    return {r for tree in forest.trees for r in leaf_rows(tree, plain_descent(tree, q))}
 
 
 # ---------------------------------------------------------------------------
@@ -124,40 +156,65 @@ def check_forest_invariants(forest: HammingForest, leaf_capacity: int) -> None:
     """Walk every tree and assert the structural invariants."""
     live = set(forest.store.word_ids)
     for tree in forest.trees:
+        nodes = _check_tables(tree)
         seen: list[int] = []
-        for leaf in iter_leaves(tree.root):
-            assert len(leaf.rows) <= leaf_capacity, (
-                f"leaf holds {len(leaf.rows)} > {leaf_capacity} words"
-            )
-            seen.extend(forest.store.ids_at(leaf.rows).tolist())
+        for node in nodes:
+            if is_leaf(tree, node):
+                rows = leaf_rows(tree, node)
+                assert len(rows) <= leaf_capacity, f"leaf holds {len(rows)} > {leaf_capacity} words"
+                seen.extend(forest.store.ids_at(rows).tolist())
         assert len(seen) == len(set(seen)), "a word id appears in two leaves"
         assert set(seen) == live, "tree membership diverged from the store"
         assert tree.all_ids() == live, "leaf lookup table diverged"
-        _check_internal_nodes(tree, live)
+        _check_internal_nodes(tree, nodes, live)
 
 
-def _check_internal_nodes(tree: HammingTree, live: set[int]) -> None:
-    words = tree.store.nbytes // 8
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            assert node.centres is None, "leaf with a routing table"
+def _check_tables(tree: HammingTree) -> list[int]:
+    """Check the node and leaf tables against a walk from the root; returns
+    the nodes reached."""
+    size, words = len(tree.parent), tree.store.nbytes // 8
+    assert tree.child.shape == (size, tree.branching) and tree.centres.dtype == np.uint64, "node tables"
+    assert tree.centres.shape == (size, words, tree.branching), "routing tables are not one column per child slot"
+    assert len(tree.centre_word) == len(tree.leaf) == size and len(tree.rows) == len(tree.fill), "table sizes"
+    nodes = all_nodes(tree)
+    assert len(nodes) == len(set(nodes)), "a node is reached twice"
+    assert not set(nodes) & set(tree._free_nodes), "a freed node is reachable"
+    assert tree.parent[ROOT] == -1 and tree.centre_word[ROOT] == -1, "root with a parent or centre word"
+    slots = []
+    for node in nodes:
+        kids = tree.child[node].tolist()
+        count = len(children(tree, node))
+        assert kids[count:] == [-1] * (len(kids) - count), "padding before the last child"
+        for kid in kids[:count]:
+            assert tree.parent[kid] == node, "broken parent link"
+        if is_leaf(tree, node):
+            assert count == 0, "leaf with children"
+            slot = int(tree.leaf[node])
+            slots.append(slot)
+            line = tree.rows[slot].tolist()
+            size = int(tree.fill[slot])
+            assert min(line[:size], default=0) >= 0 and line[size:] == [-1] * (len(line) - size), (
+                "leaf size column does not match its rows"
+            )
+            assert (tree.leaf_of[line[:size]] == node).all(), "row -> leaf array disagrees with a leaf"
+        else:
+            assert count > 0, "internal node without children"
+    assert len(slots) == len(set(slots)), "two leaves share a slot"
+    assert not set(slots) & set(tree._free_leaves), "a freed leaf slot is in use"
+    listed = np.flatnonzero(tree.leaf_of >= 0)
+    assert sum(tree.fill[slots]) == len(listed), "row -> leaf array lists rows no leaf holds"
+    return nodes
+
+
+def _check_internal_nodes(tree: HammingTree, nodes: list[int], live: set[int]) -> None:
+    for node in nodes:
+        if node == ROOT or is_leaf(tree, node):
             continue
-        assert node.children, "internal node without children"
-        assert node.centres.dtype == np.uint64 and node.centres.shape == (
-            words,
-            len(node.children),
-        ), "routing table is not one column per child"
-        for child in node.children:
-            assert child.parent is node, "broken parent link"
-            stack.append(child)
-        if node is not tree.root:
-            # A recorded centre word, while live, must sit in this subtree.
-            if node.centre_word in live:
-                subtree_rows = [r for leaf in iter_leaves(node) for r in leaf.rows]
-                subtree = set(tree.store.ids_at(subtree_rows).tolist())
-                assert node.centre_word in subtree, "centre word escaped its subtree"
+        # A recorded centre word, while live, must sit in this subtree.
+        if tree.centre_word[node] in live:
+            subtree_rows = [r for n in all_nodes(tree, node) if is_leaf(tree, n) for r in leaf_rows(tree, n)]
+            subtree = set(tree.store.ids_at(subtree_rows).tolist())
+            assert tree.centre_word[node] in subtree, "centre word escaped its subtree"
 
 
 # ---------------------------------------------------------------------------

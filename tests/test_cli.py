@@ -324,6 +324,44 @@ def test_nan_ransac_threshold_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["inf", "1e200"])
+def test_ransac_threshold_with_infinite_square_refused(tmp_path, capsys, threshold):
+    # Before, an infinite threshold made every match an inlier, so the run
+    # exited 0 with 20 loops accepted instead of 13, and 1e200 ended in an
+    # OverflowError traceback from squaring it inside RANSAC.
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "c.cfg",
+        mode="synthetic", input="new:60,revisit:0:20", features=100, seed=3,
+        ransac_threshold=threshold, out=str(out),
+    )
+    assert main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: inlier_threshold must have a finite square, got {float(threshold)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, field, value, least",
+    [
+        ("K", "branching", 1, 2),
+        ("S", "leaf_capacity", 0, 1),
+        ("T_i", "num_trees", 0, 1),
+        ("budget", "budget", 0, 1),
+        ("P_f", "probation_frames", 0, 1),
+        ("P_o", "required_matches", -3, 1),
+    ],
+)
+def test_vocabulary_parameter_errors_name_field_and_value(tmp_path, capsys, key, field, value, least):
+    # Before, K, S and T_i all gave "invalid forest parameters", and P_f
+    # and P_o one message for both, naming neither the field nor the value.
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.cfg", **{**SMALL_RUN, key: value, "out": str(out)})
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be >= {least}, got {value}\n"
+    assert not out.exists()
+
+
 # The feature header stores the pattern seed in 64 bits.  Before, a larger
 # seed ended `synth` and `extract` in a struct.error traceback.
 TOO_LARGE_SEED = "error: pattern seed 18446744073709551616 is outside 0..2**64-1\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from loopclose.detector import (
     normalize_scores,
     select_island,
 )
+from loopclose.hamming_tree import HammingTree
 from loopclose.synthetic import generate_synthetic
-from loopclose.vocabulary import ScoredImage, VocabParams
+from loopclose.vocabulary import ScoredImage, VocabParams, Vocabulary
 
 
 def scored(values):
@@ -276,3 +279,56 @@ class TestLoopDetector:
         # empty frames after initialisation are handled too
         result = detector.on_frame(FeatureSet.empty())
         assert result.status in (SKIPPED, REJECTED)
+
+
+# The hash chain of test_frame_states_pinned.
+FRAME_STATE_DIGEST = "237b57d2979a39a665346cb7482ff014e3762ed56e4f971beaae6afff1e6734e"
+
+
+def test_frame_states_pinned(monkeypatch):
+    # A purging stream run frame by frame through the detector.  After
+    # every frame its LoopResult, the vocabulary's update counters, every
+    # tree's dump, the store bytes and row -> id array and the rng state
+    # are hashed into one chain, which pins how the forest evolves through
+    # leaf rebuilds, prunes and centre reselections.  A long probation
+    # purges words that have become centres of internal nodes.
+    frames, _ = generate_synthetic("new:40,revisit:0:30", n_features=200, seed=6)
+    vocab_params = VocabParams(
+        branching=4, leaf_capacity=8, probation_frames=15, required_matches=8, seed=6
+    )
+    detector = LoopDetector(
+        vocab_params,
+        DetectorParams(buffer_size=12, min_inliers=12, shortcut_after=3, island_halfwidth=4),
+    )
+    reselections = []
+    reselect = HammingTree._reselect_centre
+    monkeypatch.setattr(
+        HammingTree, "_reselect_centre", lambda tree, *node: reselections.append(1) or reselect(tree, *node)
+    )
+    prunes = []
+    purge = Vocabulary.purge_temporaries
+
+    def counting(vocab, frame):
+        # A purge only removes words, so its trees lose a dump line exactly
+        # when it prunes a node.
+        before = sum(t.dump().count("\n") for t in vocab.forest.trees)
+        purged = purge(vocab, frame)
+        prunes.append(sum(t.dump().count("\n") for t in vocab.forest.trees) < before)
+        return purged
+
+    monkeypatch.setattr(Vocabulary, "purge_temporaries", counting)
+    chain = hashlib.sha256()
+    for features in frames:
+        result = detector.on_frame(features)
+        forest = detector.vocab.forest
+        for part in (
+            repr(result).encode(),
+            repr(detector.vocab.last_stats).encode(),
+            *(tree.dump().encode() for tree in forest.trees),
+            forest.store._data.tobytes(),
+            forest.store._word_of.tobytes(),
+            repr(forest.rng.bit_generator.state).encode(),
+        ):
+            chain.update(hashlib.sha256(part).digest())
+    assert sum(prunes) >= 10 and len(reselections) >= 10, (sum(prunes), len(reselections))
+    assert chain.hexdigest() == FRAME_STATE_DIGEST

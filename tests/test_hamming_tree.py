@@ -16,16 +16,20 @@ from loopclose.bits import (
 from loopclose import hamming_tree
 from loopclose.hamming_tree import (
     NO_DISTANCE,
+    ROOT,
     HammingForest,
     HammingTree,
     _FrameDescent,
-    iter_leaves,
 )
 
 from helpers import (
+    all_nodes,
     centre_columns,
     check_forest_invariants,
+    children,
     initial_leaf_rows,
+    is_leaf,
+    leaf_rows,
     linear_nn_distances,
     plain_descent,
     walk_answer,
@@ -66,17 +70,13 @@ def make_tree(words, branching, leaf_capacity, seed):
 
 
 def leaf_ids(tree, leaf):
-    return tree.store.ids_at(leaf.rows).tolist()
+    return tree.store.ids_at(leaf_rows(tree, leaf)).tolist()
 
 
-def all_nodes(tree):
-    """Every node of a tree, parents before children."""
-    stack, nodes = [tree.root], []
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children or ())
-    return nodes
+def leaf_lookup(tree):
+    """Each word of a tree with the rows of the leaf the row -> leaf array names."""
+    rows = np.flatnonzero(tree.leaf_of >= 0).tolist()
+    return {int(tree.store.ids_at(r)): leaf_rows(tree, tree.leaf_of[r]) for r in rows}
 
 
 class TestHamming:
@@ -123,18 +123,26 @@ class TestHamming:
         )
         np.testing.assert_array_equal(plane_distances(a64, b64, picks[0]), pairwise[:, picks[0]])
 
-    def test_child_distances_batch_equals_rows(self):
+    def test_descent_distances_equal_pairwise(self):
+        # Each level of a descent records the queries' distances to their
+        # node's child centres, padding masked, and the first nearest child;
+        # a query descended alone records the same rows.
         rng = np.random.default_rng(2)
         forest = make_forest(random_descriptors(rng, 400), seed=2, branching=6, leaf_capacity=20)
-        node = forest.trees[0].root
+        tree = forest.trees[0]
         q64 = random_descriptors(rng, 30).view(np.uint64)
-        batch = node.child_distances(q64)
-        assert batch.shape == (30, len(node.children))
+        _, levels = tree.descend(q64)
+        assert len(levels) > 1
+        for queries, nodes, d, best in levels:
+            assert d.shape == (len(queries), tree.branching)
+            for i, node, row, b in zip(queries.tolist(), nodes.tolist(), d.tolist(), best.tolist()):
+                expected = [hamming(q64[i].view(np.uint8), centre) for centre in centre_columns(tree, node)]
+                assert row == expected + [hamming_tree._MASKED] * (tree.branching - len(expected))
+                assert b == expected.index(min(expected))
         for i in range(30):
-            np.testing.assert_array_equal(node.child_distances(q64[i : i + 1])[0], batch[i])
-            assert batch[i].tolist() == [
-                hamming(q64[i].view(np.uint8), centre) for centre in centre_columns(node)
-            ]
+            _, alone = tree.descend(q64[i : i + 1])
+            rows = [d[queries == i][0].tolist() for queries, _, d, _ in levels if (queries == i).any()]
+            assert [d[0].tolist() for _, _, d, _ in alone] == rows
 
 
 class TestBuild:
@@ -147,9 +155,9 @@ class TestBuild:
         assert sum(sizes) == 10
         assert tree.all_ids() == set(range(10))
         # internal nodes are labelled by the word chosen as cluster centre
-        assert tree.root.children is not None
-        for child in tree.root.children:
-            assert child.centre_word in range(10)
+        assert not is_leaf(tree, ROOT)
+        for child in children(tree, ROOT):
+            assert tree.centre_word[child] in range(10)
 
     def test_golden_dump(self):
         rng = np.random.default_rng(11)
@@ -161,8 +169,8 @@ class TestBuild:
         rng = np.random.default_rng(2)
         descs = random_descriptors(rng, 2)
         tree = make_tree({7: descs[0], 9: descs[1]}, branching=2, leaf_capacity=3, seed=0)
-        assert tree.root.is_leaf
-        assert sorted(leaf_ids(tree, tree.root)) == [7, 9]
+        assert is_leaf(tree, ROOT)
+        assert sorted(leaf_ids(tree, ROOT)) == [7, 9]
 
     def test_same_seed_identical_trees(self):
         rng = np.random.default_rng(3)
@@ -658,16 +666,16 @@ class TestBatchSearch:
         forest, queries = churned_forest("clustered", 4, seed=46)
         budget = 64
         summed = np.array(
-            [sum(len(plain_descent(t, q).rows) for t in forest.trees) for q in queries]
+            [sum(len(leaf_rows(t, plain_descent(t, q))) for t in forest.trees) for q in queries]
         )
         assert 0 < (summed < budget).sum() < len(queries)
         leaf_lines = []
         rank_lines = forest._rank_lines
 
-        def recording(q64, flat, starts, sizes, k):
+        def recording(q64, sizes, lines, k):
             if sizes.shape[1] == len(forest.trees):
                 leaf_lines.append(sizes.sum(axis=1))
-            return rank_lines(q64, flat, starts, sizes, k)
+            return rank_lines(q64, sizes, lines, k)
 
         forest._rank_lines = recording
         ids, dists = forest.knn_search_batch(queries, 2, budget)
@@ -712,38 +720,82 @@ class TestBatchSearch:
         )
         assert differ == 0, f"{differ} of {len(batches)} concurrent batches differ"
 
-    def test_frame_descent_flattens_only_reached_leaves(self):
-        # A grouped descent lists every leaf child of the nodes it visits;
-        # only the leaves some query reaches are flattened, and a batch
-        # answers as before.
+    def test_ranked_leaf_lines_are_the_reached_leaves_rows(self):
+        # A frame descent reaches in each tree the leaf a plain descent
+        # reaches, and every leaf line the search ranks is the rows of those
+        # leaves, tree by tree, read from the trees' leaf tables; a batch
+        # answers as before.  Before, the reached leaves' row lists were
+        # first copied into one flat array per frame.
         forest, queries = churned_forest("clustered", 4, seed=44)
+        ranked = []
+        leaf_lines = [False]
+        rank_lines, top_k = forest._rank_lines, forest.store.top_k
+
+        def recording_rank(q64, sizes, lines, k):
+            leaf_lines[0] = sizes.shape[1] == len(forest.trees)
+            return rank_lines(q64, sizes, lines, k)
+
+        def recording_top_k(q64, rows, k):
+            if leaf_lines[0]:
+                ranked.extend(zip(q64.view(np.uint8), rows.tolist()))
+            return top_k(q64, rows, k)
+
+        forest._rank_lines, forest.store.top_k = recording_rank, recording_top_k
         for batch in (queries[:12], queries):
             descent = _FrameDescent(forest.trees, batch.view(np.uint64))
-            reached = {id(leaf): leaf for q in batch for leaf in (plain_descent(t, q) for t in forest.trees)}
-            assert sorted(map(id, descent.leaves)) == sorted(reached)
-            assert len(descent.leaf_flat) == sum(len(leaf.rows) for leaf in reached.values())
-            for i, q in enumerate(batch):
-                assert [descent.leaves[j] for j in descent.reached[i]] == [
-                    plain_descent(t, q) for t in forest.trees
-                ]
+            assert descent.reached.tolist() == [[plain_descent(t, q) for t in forest.trees] for q in batch]
+            ranked.clear()
             ids, dists = forest.knn_search_batch(batch, 2)
+            summed = [sum(len(leaf_rows(t, plain_descent(t, q))) for t in forest.trees) for q in batch]
+            assert 0 < len(ranked) == sum(s >= forest.budget for s in summed)
+            for q, line in ranked:
+                rows = [r for t in forest.trees for r in leaf_rows(t, plain_descent(t, q))]
+                assert line == rows + [-1] * (len(line) - len(rows))
             exp_ids, exp_dists = per_query_answers(forest, batch, 2, forest.budget)
             np.testing.assert_array_equal(ids, exp_ids)
             np.testing.assert_array_equal(dists, exp_dists)
-        listed = sum(len(t.leaf_sizes()) for t in forest.trees)
-        small = _FrameDescent(forest.trees, queries[:12].view(np.uint64))
-        assert len(small.leaves) <= 12 * len(forest.trees) < listed
 
-    def test_descent_lists_only_reached_leaves(self):
-        # A grouped descent lists a leaf only where some query reaches it,
-        # and each once.  Before, it listed every leaf child of every node
-        # it visited, and the frame's descent dropped the rest.
+    def test_descent_reaches_the_plain_descent_leaf(self):
+        # The level-by-level descent of a batch reaches, for every query,
+        # the leaf a one-query plain descent reaches, and each level lists
+        # the queries still at an internal node, each once.
         forest, queries = churned_forest("clustered", 4, seed=49)
         for batch in (queries[:1], queries[:12], queries):
             for tree in forest.trees:
-                leaves, reached = hamming_tree._descend(tree.root, batch.view(np.uint64))
-                assert np.unique(reached).tolist() == list(range(len(leaves)))
-                assert [leaves[j] for j in reached] == [plain_descent(tree, q) for q in batch]
+                reached, levels = tree.descend(batch.view(np.uint64))
+                assert reached.tolist() == [plain_descent(tree, q) for q in batch]
+                for idx, nodes, _, _ in levels:
+                    assert len(np.unique(idx)) == len(idx) and (tree.leaf[nodes] < 0).all()
+                assert levels[-1][0].size > 0 and all(is_leaf(tree, leaf) for leaf in reached.tolist())
+
+    def test_descent_masks_padding_after_prunes(self):
+        # Splits of fewer words than the branching leave padding columns
+        # in a routing table, and prunes shift columns left over more.  A
+        # descent takes no padding column, even for queries equal to what
+        # the padding holds: every query reaches its plain-descent leaf.
+        rng = np.random.default_rng(53)
+        descs = random_descriptors(rng, 300)
+        forest = make_forest(descs, seed=53, branching=8, leaf_capacity=4, num_trees=2)
+        for word in rng.permutation(300)[:200].tolist():
+            forest.remove(word)
+        check_forest_invariants(forest, leaf_capacity=4)
+        padding = []
+        single = 0
+        for tree in forest.trees:
+            for node in all_nodes(tree):
+                count = len(children(tree, node))
+                single += count == 1
+                if 0 < count < tree.branching:
+                    padding.extend(tree.centres[node, :, count:].T.copy().view(np.uint8))
+        assert single > 0 and len(padding) > 0
+        queries = np.concatenate([descs, np.unique(padding, axis=0), random_descriptors(rng, 100)])
+        for tree in forest.trees:
+            reached, _ = tree.descend(queries.view(np.uint64))
+            assert reached.tolist() == [plain_descent(tree, q) for q in queries]
+        ids, dists = forest.knn_search_batch(queries, 2, budget=16)
+        exp_ids, exp_dists = per_query_answers(forest, queries, 2, 16)
+        np.testing.assert_array_equal(ids, exp_ids)
+        np.testing.assert_array_equal(dists, exp_dists)
 
 
 class TestTopK:
@@ -779,7 +831,7 @@ def forest_state(forest):
     """Tree shapes, leaf lookups and store contents of a forest."""
     return (
         [t.dump() for t in forest.trees],
-        [{w: list(leaf.rows) for w, leaf in t._leaf_of.items()} for t in forest.trees],
+        [leaf_lookup(t) for t in forest.trees],
         {w: forest.store.row(w) for w in forest.store.word_ids},
         forest.store._data.tobytes(),
     )
@@ -788,14 +840,14 @@ def forest_state(forest):
 def root_descents(monkeypatch):
     """Record the forest's descents that start at a tree root."""
     roots = []
-    descend = hamming_tree._descend
+    descend = HammingTree.descend
 
-    def recording(node, q64, visit=None):
-        if node.parent is None:
+    def recording(tree, q64, start=ROOT):
+        if start == ROOT:
             roots.append(len(q64))
-        return descend(node, q64, visit)
+        return descend(tree, q64, start)
 
-    monkeypatch.setattr(hamming_tree, "_descend", recording)
+    monkeypatch.setattr(HammingTree, "descend", recording)
     return roots
 
 
@@ -814,9 +866,9 @@ class TestInsert:
         forest = HammingForest(leaf_capacity=5, num_trees=1, seed=12)
         forest.build({i: descs[i] for i in range(3)})
         tree = forest.trees[0]
-        assert tree.root.is_leaf and len(tree.root.rows) == 3
+        assert is_leaf(tree, ROOT) and len(leaf_rows(tree, ROOT)) == 3
         forest.insert(3, descs[3])  # 3 + 1 < 5: plain append
-        assert tree.root.is_leaf and len(tree.root.rows) == 4
+        assert is_leaf(tree, ROOT) and len(leaf_rows(tree, ROOT)) == 4
 
     def test_overflow_rebuilds_node(self):
         rng = np.random.default_rng(13)
@@ -824,9 +876,9 @@ class TestInsert:
         forest = HammingForest(leaf_capacity=5, num_trees=1, seed=13)
         forest.build({i: descs[i] for i in range(4)})
         tree = forest.trees[0]
-        assert tree.root.is_leaf
+        assert is_leaf(tree, ROOT)
         forest.insert(4, descs[4])  # 4 + 1 == 5: the leaf is rebuilt
-        assert not tree.root.is_leaf
+        assert not is_leaf(tree, ROOT)
         for i in range(5):
             got = forest.knn_search(descs[i], 1, budget=5)
             assert got[0] == (i, 0)
@@ -859,8 +911,8 @@ class TestInsert:
         word_ids = list(range(5000, 5100))
         resumed = []
         for tree in batched.trees:
-            tree.place = lambda w, q, leaf, place=tree.place: (
-                resumed.append(not leaf.is_leaf) or place(w, q, leaf)
+            tree.place = lambda w, q, leaf, place=tree.place, tree=tree: (
+                resumed.append(not is_leaf(tree, leaf)) or place(w, q, leaf)
             )
         batched.insert_batch(word_ids, descs)
         for word_id, desc in zip(word_ids, descs):
@@ -868,9 +920,7 @@ class TestInsert:
         assert sum(resumed) > 0
         assert [t.dump() for t in batched.trees] == [t.dump() for t in single.trees]
         for a, b in zip(batched.trees, single.trees):
-            assert {w: leaf.rows for w, leaf in a._leaf_of.items()} == {
-                w: leaf.rows for w, leaf in b._leaf_of.items()
-            }
+            assert leaf_lookup(a) == leaf_lookup(b)
         assert all(batched.store.row(w) == single.store.row(w) for w in single.store.word_ids)
         assert np.array_equal(batched.store._data, single.store._data)
         assert batched.rng.integers(1 << 62) == single.rng.integers(1 << 62)
@@ -896,8 +946,8 @@ class TestInsert:
         roots = root_descents(monkeypatch)
         resumed = []
         for tree in handed.trees:
-            tree.place = lambda w, q, leaf, place=tree.place: (
-                resumed.append(not leaf.is_leaf) or place(w, q, leaf)
+            tree.place = lambda w, q, leaf, place=tree.place, tree=tree: (
+                resumed.append(not is_leaf(tree, leaf)) or place(w, q, leaf)
             )
         handed.insert_batch(word_ids, descs, searched)
         assert roots == [] and sum(resumed) > 0
@@ -983,6 +1033,8 @@ class TestInsert:
         with pytest.raises(ValueError, match="descriptors"):
             forest.insert_batch([30, 31], descs[30:33])
         assert state() == before
+        forest.insert_batch([], descs[:0])  # an empty batch descends no query
+        assert state() == before
 
     def test_duplicate_insert_rejected(self):
         rng = np.random.default_rng(15)
@@ -1011,9 +1063,9 @@ class TestRemove:
         tree = forest.trees[0]
         before = tree.dump()
         forest.remove(2)
-        assert tree.root.is_leaf and sorted(leaf_ids(tree, tree.root)) == [0, 1]
+        assert is_leaf(tree, ROOT) and sorted(leaf_ids(tree, ROOT)) == [0, 1]
         assert before != tree.dump()  # only the leaf content changed
-        assert not tree.root.children
+        assert not children(tree, ROOT)
 
     def test_remove_centre_reselects(self):
         rng = np.random.default_rng(11)
@@ -1021,23 +1073,15 @@ class TestRemove:
         forest = HammingForest(branching=2, leaf_capacity=3, num_trees=1, seed=5)
         forest.build({i: descs[i] for i in range(10)})
         tree = forest.trees[0]
-        centres = set()
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                stack.extend(node.children)
-                if node.centre_word is not None:
-                    centres.add(node.centre_word)
+        centres = {
+            int(tree.centre_word[node]) for node in all_nodes(tree) if node != ROOT and not is_leaf(tree, node)
+        }
         victim = sorted(centres)[0]
         forest.remove(victim)
         # no surviving internal node still records the removed word
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                assert node.centre_word != victim
-                stack.extend(node.children)
+        for node in all_nodes(tree):
+            if not is_leaf(tree, node):
+                assert tree.centre_word[node] != victim
         # the other words are all still searchable
         for i in range(10):
             if i == victim:
@@ -1047,24 +1091,21 @@ class TestRemove:
 
     def test_search_after_prune_changes_no_node(self):
         # Searches, per-query and batched, read the routing tables a prune
-        # left and write no node.
+        # left and write no table.
         # Before, a prune emptied its parent's cached centre matrix and the
         # next search filled it again.
         rng = np.random.default_rng(50)
         descs = random_descriptors(rng, 60)
         forest = make_forest(descs, seed=50, branching=4, leaf_capacity=4, num_trees=2)
         tree = forest.trees[0]
-        leaf = next(leaf for leaf in iter_leaves(tree.root) if len(leaf.rows) == 1)
-        parent = leaf.parent
-        forest.remove(int(forest.store.ids_at(leaf.rows[0])))
-        assert leaf not in parent.children
+        leaf = next(n for n in all_nodes(tree) if is_leaf(tree, n) and len(leaf_rows(tree, n)) == 1)
+        parent = int(tree.parent[leaf])
+        forest.remove(int(forest.store.ids_at(leaf_rows(tree, leaf)[0])))
+        assert leaf not in children(tree, parent)
 
         def node_state():
-            return [
-                {slot: repr(getattr(node, slot, None)) for slot in type(node).__slots__}
-                for t in forest.trees
-                for node in all_nodes(t)
-            ]
+            tables = ("child", "centres", "parent", "centre_word", "leaf", "rows", "fill", "leaf_of")
+            return [getattr(t, name).tobytes() for t in forest.trees for name in tables]
 
         before = node_state()
         for q in descs[:20]:
@@ -1074,20 +1115,36 @@ class TestRemove:
         check_forest_invariants(forest, leaf_capacity=4)
 
     def test_invariants_check_routing_tables(self):
-        # Every internal node's routing table has one column per child and
-        # no leaf has one; a prune that kept the child's column is caught.
+        # The routing tables have one column per child slot; a prune that
+        # left a hole before the last child, a leaf whose size column
+        # disagrees with its rows, a freed node still reachable and a row
+        # -> leaf array naming the wrong leaf are each caught.
         rng = np.random.default_rng(51)
         forest = make_forest(random_descriptors(rng, 80), seed=51, branching=4, leaf_capacity=5)
         check_forest_invariants(forest, leaf_capacity=5)
-        node = forest.trees[1].root
-        node.centres = np.hstack([node.centres, node.centres[:, :1]])
+        tree = forest.trees[1]
+        leaves = [n for n in all_nodes(tree) if is_leaf(tree, n)]
+        row = leaf_rows(tree, leaves[0])[0]
+        for table, index, value, message in (
+            ("child", (ROOT, 0), -1, "padding before the last child"),
+            ("fill", tree.leaf[leaves[0]], 0, "size column does not match its rows"),
+            ("leaf_of", row, leaves[1], "row -> leaf array disagrees with a leaf"),
+        ):
+            kept = getattr(tree, table)[index]
+            getattr(tree, table)[index] = value
+            with pytest.raises(AssertionError, match=message):
+                check_forest_invariants(forest, leaf_capacity=5)
+            getattr(tree, table)[index] = kept
+        tree._free_nodes.append(leaves[1])
+        with pytest.raises(AssertionError, match="a freed node is reachable"):
+            check_forest_invariants(forest, leaf_capacity=5)
+        tree._free_nodes.pop()
+        centres = tree.centres
+        tree.centres = centres[:, :, :-1]
         with pytest.raises(AssertionError, match="one column per child"):
             check_forest_invariants(forest, leaf_capacity=5)
-        node.centres = node.centres[:, :-1]
-        leaf = next(iter_leaves(node))
-        leaf.centres = node.centres[:, :1].copy()
-        with pytest.raises(AssertionError, match="leaf with a routing table"):
-            check_forest_invariants(forest, leaf_capacity=5)
+        tree.centres = centres
+        check_forest_invariants(forest, leaf_capacity=5)
 
     def test_removed_word_never_in_results(self):
         rng = np.random.default_rng(18)
@@ -1156,7 +1213,7 @@ class TestInterleavedMutation:
         reselect = HammingTree._reselect_centre
 
         def recording(tree, node):
-            reselections.append(node.centre_word)
+            reselections.append(int(tree.centre_word[node]))
             reselect(tree, node)
 
         monkeypatch.setattr(HammingTree, "_reselect_centre", recording)
@@ -1179,7 +1236,7 @@ class TestInterleavedMutation:
             else:
                 live = sorted(forest.store.word_ids)
                 centres = sorted(
-                    {n.centre_word for t in forest.trees for n in all_nodes(t) if n.children}
+                    {int(t.centre_word[n]) for t in forest.trees for n in all_nodes(t) if children(t, n)}
                     & set(live)
                 )
                 victims = [centres[i] for i in rng.choice(len(centres), 2, replace=False)]
