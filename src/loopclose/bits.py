@@ -10,11 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_WIDTH = 256
+# Widest descriptor accepted where a width drives an allocation: a frame's
+# descriptor sampling indices are one int64 per feature and bit.
+MAX_WIDTH = 1024
 
 
 def width_of(desc: np.ndarray) -> int:
     """Bit width of a packed descriptor (or of each row of a matrix)."""
     return int(desc.shape[-1]) * 8
+
+
+def check_width(width: int) -> None:
+    """Refuse a descriptor width that is not a multiple of 64 in 64..``MAX_WIDTH``."""
+    if width < 64 or width % 64:
+        raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
+    if width > MAX_WIDTH:
+        raise ValueError(f"descriptor width {width} is above {MAX_WIDTH} bits")
 
 
 def popcount(desc: np.ndarray) -> int:

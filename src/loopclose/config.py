@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .detector import DetectorParams
 from .geometry import RansacParams
-from .imgproc import DEFAULT_CORNER_THRESHOLD, DEFAULT_PATTERN_SEED
+from .imgproc import DEFAULT_CORNER_THRESHOLD, DEFAULT_PATTERN_SEED, check_pattern_seed
 from .vocabulary import VocabParams
 
 MODES = ("images", "features", "synthetic")
@@ -73,6 +73,9 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0 <= self.corner_threshold <= 255:
             raise ConfigError(f"corner_threshold must be in 0..255, got {self.corner_threshold}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_pattern_seed(self.pattern_seed)
         if self.gt_tolerance is None:
             self.gt_tolerance = self.island_halfwidth
         elif self.gt_tolerance < 0:

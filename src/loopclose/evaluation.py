@@ -18,7 +18,14 @@ import numpy as np
 
 from .config import RunConfig
 from .detector import ACCEPTED, PATH_SHORTCUT, LoopDetector, LoopResult
-from .imgproc import FeatureSet, detect_corners, extract_descriptors, load_pgm, read_features
+from .imgproc import (
+    FeatureSet,
+    check_feature_count,
+    detect_corners,
+    extract_descriptors,
+    load_pgm,
+    read_features,
+)
 from .synthetic import generate_synthetic
 from .vocabulary import UpdateStats
 
@@ -201,10 +208,10 @@ def image_frames(
 ) -> Iterator[tuple[Path, FeatureSet]]:
     """Features of each PGM image of ``directory``, in name order.
 
-    A ``features`` count below 1 raises ValueError before any image is read.
+    A ``features`` count outside 1..``MAX_FEATURES`` raises ValueError
+    before any image is read.
     """
-    if features < 1:
-        raise ValueError(f"features must be at least 1, got {features}")
+    check_feature_count(features)
     for path, img in frame_source(directory, ".pgm", load_pgm):
         corners = detect_corners(img, features, threshold)
         yield path, extract_descriptors(img, corners, pattern_seed=pattern_seed, width=width)

@@ -2,10 +2,10 @@
 
 Each tree partitions the descriptor set around randomly chosen cluster
 centres by Hamming distance until clusters fall below the leaf capacity.
-A tree is kept as int-indexed node and leaf tables (:class:`HammingTree`),
-one copy of each fact, which search, insert, remove and ``dump`` read in
-place.  Leaves record store rows; word ids are read from the store's
-row -> id array.
+A tree is kept as int-indexed node tables (:class:`HammingTree`), one
+copy of each fact, which search, insert, remove and ``dump`` read in
+place.  A leaf is a node without children; it records store rows under
+its own node id, and word ids are read from the store's row -> id array.
 
 Several trees are built over the same word set and searched together by
 one budgeted best-bin-first search, :meth:`HammingForest.knn_search_batch`;
@@ -72,7 +72,7 @@ class Neighbor(NamedTuple):
 
 _MASKED = 1 << 30  # sentinel distance of a child already taken, and of padding
 ROOT = 0  # node id of every tree's root
-_NODE_TABLES = ("child", "centres", "parent", "centre_word", "leaf")
+_NODE_TABLES = ("child", "centres", "parent", "centre_word", "rows", "fill")
 
 NO_DISTANCE = np.iinfo(np.int32).max  # distance padding of batch answers with fewer than k words
 _NO_KEY = np.iinfo(np.int64).max  # packed key of padding and duplicate rows
@@ -246,11 +246,12 @@ class HammingTree:
     whose column ``c`` is a value snapshot of the descriptor child ``c`` was
     clustered around (merging that word leaves it, so routing stays stable
     while searches remain approximate); ``parent`` and ``centre_word``, the
-    word the node's centre was taken from (both -1 at the root); ``leaf``,
-    its leaf slot (-1 when internal).  Per leaf slot: ``rows``, its store
-    rows in insertion order, padded with -1, and ``fill``, their count.
-    ``leaf_of`` maps a store row to its leaf node (-1: none).  Freed node
-    ids and leaf slots are reused from free lists.
+    word the node's centre was taken from (both -1 at the root); ``rows``,
+    its store rows in insertion order, padded with -1, and ``fill``, their
+    count.  A node is a leaf exactly when ``child[node, 0] < 0``; only
+    leaves hold rows, so an internal or freed node has ``fill`` 0 and a row
+    of -1.  ``leaf_of`` maps a store row to its leaf node (-1: none).
+    Freed node ids are reused from a free list.
     """
 
     def __init__(self, store: DescriptorStore, branching: int, leaf_capacity: int, rng: np.random.Generator):
@@ -270,13 +271,12 @@ class HammingTree:
         """(Re)build the whole tree over the given word ids."""
         self.child = np.full((1, self.branching), -1, dtype=np.int64)
         self.centres = np.zeros((1, self.store.nbytes // 8, self.branching), dtype=np.uint64)
-        self.parent, self.centre_word, self.leaf = np.full((3, 1), -1, dtype=np.int64)
+        self.parent, self.centre_word = np.full((2, 1), -1, dtype=np.int64)
         # A leaf holds fewer words than the capacity, or a single one.
         self.rows = np.full((1, max(self.leaf_capacity - 1, 1)), -1, dtype=np.int64)
         self.fill = np.zeros(1, dtype=np.int64)
         self.leaf_of = np.full(self.store.capacity, -1, dtype=np.int64)
         self._free_nodes: list[int] = []
-        self._free_leaves = [0]
         rows = np.fromiter((self.store.row(i) for i in word_ids), dtype=np.int64)
         self._build_into(ROOT, rows)
 
@@ -299,33 +299,31 @@ class HammingTree:
                 # Degenerate split (duplicate descriptors): force progress.
                 assign = np.arange(len(rows)) % k
             kept = np.flatnonzero(np.bincount(assign, minlength=k))  # the centres with members
-            if self.leaf[node] >= 0:  # a leaf rebuilt in place
-                self._free_leaves.append(int(self.leaf[node]))
-                self.leaf[node] = -1
-            kids = [self._take(self._free_nodes, _NODE_TABLES) for _ in kept]
+            self.rows[node], self.fill[node] = -1, 0  # a leaf rebuilt in place drops its rows
+            kids = [self._take() for _ in kept]
             self.child[node, : len(kids)] = kids
             self.centres[node, :, : len(kids)] = centres[kept].view(np.uint64).T
             self.parent[kids] = node
             self.centre_word[kids] = self.store.ids_at(rows[centre_pos[kept]])
             work.extend((kid, rows[assign == c]) for kid, c in zip(kids[::-1], kept[::-1].tolist()))
 
-    def _take(self, free: list[int], tables: tuple[str, ...]) -> int:
-        """An id off a free list, its tables doubled if the list is empty.
-        A free node has no children and no leaf slot: -1 in both tables."""
-        if not free:
-            size = len(getattr(self, tables[0]))
-            for name in tables:
+    def _take(self) -> int:
+        """A node id off the free list, every node table doubled if it is
+        empty.  A free node has no children and no rows: -1 in ``child``
+        and ``rows``."""
+        if not self._free_nodes:
+            size = len(self.parent)
+            for name in _NODE_TABLES:
                 table = getattr(self, name)
-                blank = -1 if name in ("child", "leaf") else 0
+                blank = -1 if name in ("child", "rows") else 0
                 setattr(self, name, np.concatenate([table, np.full_like(table, blank)]))
-            free[:0] = range(2 * size - 1, size - 1, -1)
-        return free.pop()
+            self._free_nodes[:0] = range(2 * size - 1, size - 1, -1)
+        return self._free_nodes.pop()
 
     def _make_leaf(self, node: int, rows: np.ndarray) -> None:
-        slot = self.leaf[node] = self._take(self._free_leaves, ("rows", "fill"))
-        self.rows[slot] = -1
-        self.rows[slot, : len(rows)] = rows
-        self.fill[slot] = len(rows)
+        """Give a node that holds no rows its leaf rows."""
+        self.rows[node, : len(rows)] = rows
+        self.fill[node] = len(rows)
         self.leaf_of[rows] = node
 
     # -- online updates -----------------------------------------------
@@ -341,7 +339,7 @@ class HammingTree:
         set to ``_MASKED``, and the child each takes, the first nearest.
         """
         queries, nodes, levels = np.arange(len(q64)), np.full(len(q64), start), []
-        if self.leaf.item(start) >= 0 or len(q64) == 0:
+        if self.child.item(start, 0) < 0 or len(q64) == 0:
             return nodes, levels
         reached, q = None, q64[:, :, None]
         table, kids = self.centres[start], self.child[start : start + 1]
@@ -373,20 +371,19 @@ class HammingTree:
         If the leaf can take one more entry it is appended, otherwise the
         leaf node is rebuilt in place over its descriptors plus the new one.
         """
-        if self.leaf.item(leaf) < 0:
+        if self.child.item(leaf, 0) >= 0:
             leaf = self.descend(q64, leaf)[0].item(0)
         row = self.store.row(word_id)
         if row >= len(self.leaf_of):  # the store grew
             grown = self.store.capacity - len(self.leaf_of)
             self.leaf_of = np.pad(self.leaf_of, (0, grown), constant_values=-1)
-        slot = self.leaf.item(leaf)
-        n = self.fill.item(slot)
+        n = self.fill.item(leaf)
         if n + 1 < self.leaf_capacity:
-            self.rows[slot, n] = row
-            self.fill[slot] = n + 1
+            self.rows[leaf, n] = row
+            self.fill[leaf] = n + 1
             self.leaf_of[row] = leaf
         else:
-            self._build_into(leaf, np.append(self.rows[slot, :n], row))
+            self._build_into(leaf, np.append(self.rows[leaf, :n], row))
 
     def remove(self, word_id: int) -> None:
         """Remove a word; prune emptied nodes and reselect orphaned centres."""
@@ -395,27 +392,22 @@ class HammingTree:
         if node < 0:
             raise KeyError(f"word {word_id} not in tree")
         self.leaf_of[row] = -1
-        slot = self.leaf.item(node)
-        n = self.fill.item(slot)
-        line = self.rows[slot]
+        n = self.fill.item(node)
+        line = self.rows[node]
         i = line[:n].tolist().index(row)
         line[i : n - 1] = line[i + 1 : n]  # shifted, not swapped: a leaf rebuild draws in row order
         line[n - 1] = -1
-        self.fill[slot] = n - 1
+        self.fill[node] = n - 1
 
-        # An emptied leaf is pruned, then each parent it leaves without children.
+        # An emptied leaf is pruned, then each parent it leaves without
+        # children; a root left without children is an empty leaf.
         while n == 1 and node != ROOT and self.child.item(node, 0) < 0:
             parent = self.parent.item(node)
             c = self.child[parent].tolist().index(node)
             self.child[parent, c:] = np.append(self.child[parent, c + 1 :], -1)
             self.centres[parent, :, c:-1] = self.centres[parent, :, c + 1 :]
-            if self.leaf.item(node) >= 0:
-                self._free_leaves.append(self.leaf.item(node))
-                self.leaf[node] = -1
             self._free_nodes.append(node)
             node = parent
-        if node == ROOT and self.leaf.item(ROOT) < 0 and self.child.item(ROOT, 0) < 0:
-            self._make_leaf(ROOT, np.empty(0, dtype=np.int64))
 
         # Pruning stopped at ``node``: it and its ancestors are exactly the
         # surviving nodes on the removed word's path, bottom-up.
@@ -447,14 +439,7 @@ class HammingTree:
 
     def leaf_rows(self, node: int) -> list[int]:
         """Store rows of a leaf node, in order; none for an internal node."""
-        slot = self.leaf.item(node)
-        return self.rows[slot, : self.fill.item(slot)].tolist() if slot >= 0 else []
-
-    def all_ids(self) -> set[int]:
-        return set(self.store.ids_at(np.flatnonzero(self.leaf_of >= 0)).tolist())
-
-    def leaf_sizes(self) -> list[int]:
-        return [len(self.leaf_rows(n)) for n, _ in self._walk() if self.leaf.item(n) >= 0]
+        return self.rows[node, : self.fill.item(node)].tolist()
 
     def dump(self) -> str:
         """Tree shape as indented text, for golden-file comparisons."""
@@ -462,7 +447,7 @@ class HammingTree:
         for node, depth in self._walk():
             word = self.centre_word.item(node)
             tag = "root" if word < 0 else f"c=w{word}"
-            if self.leaf.item(node) >= 0:
+            if self.child.item(node, 0) < 0:
                 ids = ",".join(f"w{i}" for i in self.store.ids_at(self.leaf_rows(node)))
                 lines.append("  " * depth + f"leaf {tag} [{ids}]")
             else:
@@ -692,28 +677,27 @@ class _FrameDescent:
     """Every tree descended once by all ``(n, words)`` queries together.
 
     Keeps the leaf node each query reaches in each tree, ``reached``, its
-    leaf slot and row count, ``slots`` and ``sizes``, and each tree's level
-    records, from which :meth:`walks` builds the heap entries of the walking
-    queries.  Leaf rows are read from the trees' tables in place.
+    row count, ``sizes``, and each tree's level records, from which
+    :meth:`walks` builds the heap entries of the walking queries.  Leaf
+    rows are read from the trees' tables in place.
     """
 
     def __init__(self, trees: list[HammingTree], q64: np.ndarray):
         self.trees = trees
         self.q64 = q64
-        self.reached, self.slots, self.sizes = np.empty((3, len(q64), len(trees)), dtype=np.int64)
+        self.reached, self.sizes = np.empty((2, len(q64), len(trees)), dtype=np.int64)
         self._levels = []  # per tree, the levels of its descent
         for t, tree in enumerate(trees):
             self.reached[:, t], levels = tree.descend(q64)
-            self.slots[:, t] = tree.leaf[self.reached[:, t]]
-            self.sizes[:, t] = tree.fill[self.slots[:, t]]
+            self.sizes[:, t] = tree.fill[self.reached[:, t]]
             self._levels.append(levels)
 
     def rows(self, queries: np.ndarray) -> np.ndarray:
         """The rows of the leaves each of ``queries`` reaches, tree by tree,
         query after query."""
         widths = self.sizes[queries].max(axis=0).tolist()
-        slots = self.slots[queries].T
-        block = np.concatenate([t.rows[s, :w] for t, s, w in zip(self.trees, slots, widths)], axis=1)
+        leaves = self.reached[queries].T
+        block = np.concatenate([t.rows[n, :w] for t, n, w in zip(self.trees, leaves, widths)], axis=1)
         return block[block >= 0]
 
     def walks(self, queries: np.ndarray, budget: int) -> list[list[int]]:
@@ -765,8 +749,7 @@ class _FrameDescent:
                 if d.item(after) < _MASKED:
                     heappush(heap, (d.item(after), next(tick), tree, node, block, line, after))
                 node = tree.child.item(node, pos)
-                slot = tree.leaf.item(node)
-                if slot < 0:
+                if tree.child.item(node, 0) >= 0:
                     reached, levels = tree.descend(q64, node)
                     for _, node, d, best in levels:  # one query: one node per level
                         node = node.item(0)
@@ -774,7 +757,7 @@ class _FrameDescent:
                             d[0, best.item(0)] = _MASKED
                             pos = d.argmin()
                             heappush(heap, (d.item(pos), next(tick), tree, node, d, 0, pos))
-                    slot = tree.leaf.item(reached.item(0))
-                seen.update(tree.rows[slot, : tree.fill.item(slot)].tolist())
+                    node = reached.item(0)
+                seen.update(tree.rows[node, : tree.fill.item(node)].tolist())
             walked.append(list(seen))
         return walked

@@ -22,12 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import DEFAULT_WIDTH
+from .bits import DEFAULT_WIDTH, check_width
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PATTERN_SEED = 42
 DEFAULT_CORNER_THRESHOLD = 20
+# Most features a frame may ask for: describing them takes int64 sampling
+# indices per feature and descriptor bit.
+MAX_FEATURES = 1 << 15
 
 # Keypoints closer than this to any image border are dropped before
 # description; it covers the 31x31 sample patch plus smoothing margin.
@@ -55,6 +58,20 @@ _ARC_LENGTH = 9  # contiguous ring pixels required by the segment test
 
 class PgmFormatError(ValueError):
     """Raised when a PGM file cannot be parsed; messages carry byte offsets."""
+
+
+def check_feature_count(count: int) -> None:
+    """Refuse a per-frame feature count outside 1..``MAX_FEATURES``."""
+    if count < 1:
+        raise ValueError(f"features must be at least 1, got {count}")
+    if count > MAX_FEATURES:
+        raise ValueError(f"features must be at most {MAX_FEATURES}, got {count}")
+
+
+def check_pattern_seed(seed: int) -> None:
+    """Refuse a pattern seed outside 0..2**64-1, the range feature files store."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"pattern seed {seed} is outside 0..2**64-1")
 
 
 class FeatureFileError(ValueError):
@@ -328,8 +345,10 @@ def sampling_pattern(seed: int, width: int = DEFAULT_WIDTH) -> np.ndarray:
 
     Returns an ``(width, 4)`` int64 array of (px, py, qx, qy) offsets in
     [-15, 15].  The generator is seeded, so the pattern is identical
-    across runs and platforms for the same seed.
+    across runs and platforms for the same seed, which must be in
+    0..2**64-1.
     """
+    check_pattern_seed(seed)
     rng = np.random.default_rng(seed)
     pattern = rng.integers(-PATCH_HALF, PATCH_HALF + 1, size=(width, 4))
     same = (pattern[:, 0] == pattern[:, 2]) & (pattern[:, 1] == pattern[:, 3])
@@ -368,12 +387,11 @@ def extract_descriptors(
     is below the one at ``q_i``.  Keypoints within ``BORDER_MARGIN`` pixels
     of any border are silently dropped (the count is logged at debug level).
     The result is deterministic for a given image, keypoints and seed.
-    ``img`` must be a 2-d uint8 array and ``width`` a positive multiple of
-    64; anything else raises ValueError.
+    ``img`` must be a 2-d uint8 array and ``width`` a multiple of 64 in
+    64..``MAX_WIDTH``; anything else raises ValueError.
     """
     img = _check_image(img)
-    if width < 64 or width % 64:
-        raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
+    check_width(width)
     corners = np.asarray(corners, dtype=np.float32).reshape(-1, 3)
     h, w = img.shape
     x = corners[:, 0]
@@ -425,8 +443,7 @@ def write_features(path, features: FeatureSet, pattern_seed: int = DEFAULT_PATTE
     The header holds the pattern seed in 64 bits, so a seed outside
     0..2**64-1 is refused before the file is opened.
     """
-    if not 0 <= pattern_seed < 1 << 64:
-        raise ValueError(f"pattern seed {pattern_seed} is outside 0..2**64-1")
+    check_pattern_seed(pattern_seed)
     nbytes = features.descriptors.shape[1]
     records = np.empty(len(features), dtype=_record_dtype(nbytes))
     records["x"] = features.keypoints[:, 0]

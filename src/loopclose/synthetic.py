@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import flip_random_bits, random_descriptors
-from .imgproc import BORDER_MARGIN, FeatureSet
+from .bits import check_width, flip_random_bits, random_descriptors
+from .imgproc import BORDER_MARGIN, FeatureSet, check_feature_count
 
 IMAGE_WIDTH = 640
 IMAGE_HEIGHT = 480
@@ -149,16 +149,17 @@ def generate_synthetic(
 
     Returns ``(frames, ground_truth)`` where ``ground_truth`` maps each
     revisit frame index to the original frame indices it closes a loop
-    with.  Deterministic for a fixed seed.  ``n_features`` must be at
-    least 1, ``noise_bits`` at least 0 and ``width`` a positive multiple
-    of 64, or ValueError is raised.
+    with.  Deterministic for a fixed seed.  ``n_features`` must be in
+    1..``MAX_FEATURES``, ``noise_bits`` and ``seed`` at least 0 and
+    ``width`` a multiple of 64 in 64..``MAX_WIDTH``, or ValueError is
+    raised.
     """
-    if n_features < 1:
-        raise ValueError(f"features must be at least 1, got {n_features}")
+    check_feature_count(n_features)
     if noise_bits < 0:
         raise ValueError(f"noise_bits must be >= 0, got {noise_bits}")
-    if width < 64 or width % 64:
-        raise ValueError(f"descriptor width {width} is not a positive multiple of 64")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_width(width)
     if isinstance(plan, str):
         plan = parse_plan(plan)
     rng = np.random.default_rng(seed)

@@ -25,6 +25,14 @@ from .hamming_tree import HammingForest
 from .imgproc import FeatureSet
 
 
+# Upper bounds on the forest sizes a configuration may ask for.  Per tree,
+# one node's routing table is ``branching`` descriptors and its row of leaf
+# rows ``leaf_capacity - 1`` int64s.
+MAX_BRANCHING = 256
+MAX_LEAF_CAPACITY = 1 << 16
+MAX_TREES = 64
+
+
 class ScoredImage(NamedTuple):
     image_id: int
     score: float
@@ -52,16 +60,19 @@ class VocabParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (
-            ("branching", 2),
-            ("leaf_capacity", 1),
-            ("num_trees", 1),
-            ("budget", 1),
-            ("probation_frames", 1),
-            ("required_matches", 1),
+        for name, least, most in (
+            ("branching", 2, MAX_BRANCHING),
+            ("leaf_capacity", 1, MAX_LEAF_CAPACITY),
+            ("num_trees", 1, MAX_TREES),
+            ("budget", 1, None),
+            ("probation_frames", 1, None),
+            ("required_matches", 1, None),
         ):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be <= {most}, got {value}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must be in (0, 1)")
 
@@ -104,7 +115,9 @@ class Vocabulary:
         self.postings: dict[int, list[tuple[int, int]]] = {}
         self.image_term_totals: dict[int, int] = {}
         self.images_indexed: list[int] = []
-        self._temporary: set[int] = set()
+        # Temporary word ids in insertion order, which is ascending: ids
+        # come from ``_next_id`` and are never reused.
+        self._temporary: dict[int, None] = {}
         self._next_id = 0
 
         # One stable word per first-image descriptor, duplicates included.
@@ -208,7 +221,7 @@ class Vocabulary:
         self._next_id += len(new_ids)
         for wid in new_ids:
             self.words[wid] = WordInfo(created_at=frame, times_matched=0)
-            self._temporary.add(wid)
+            self._temporary[wid] = None
             self.postings[wid] = [(image_id, 1)]
         self.image_term_totals[image_id] = self.image_term_totals.get(image_id, 0) + len(new_ids)
         return new_ids
@@ -218,18 +231,16 @@ class Vocabulary:
         if not self.params.purge:
             return []
         deleted = []
-        for wid in sorted(self._temporary):
+        for wid in list(self._temporary):
             info = self.words[wid]
             if current_frame - info.created_at < self.params.probation_frames:
                 continue
-            if info.times_matched >= self.params.required_matches:
-                self._temporary.discard(wid)
-            else:
+            del self._temporary[wid]
+            if info.times_matched < self.params.required_matches:
                 self.forest.remove(wid)
                 for image_id, count in self.postings.pop(wid):
                     self.image_term_totals[image_id] -= count
                 del self.words[wid]
-                self._temporary.discard(wid)
                 deleted.append(wid)
         return deleted
 

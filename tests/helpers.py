@@ -101,7 +101,8 @@ def walk_answer(forest: HammingForest, q: np.ndarray, k: int, budget: int) -> li
 # ---------------------------------------------------------------------------
 
 def is_leaf(tree: HammingTree, node: int) -> bool:
-    return tree.leaf[node] >= 0
+    """A node is a leaf exactly when it has no first child."""
+    return tree.child[node, 0] < 0
 
 
 def children(tree: HammingTree, node: int) -> list[int]:
@@ -112,9 +113,8 @@ def children(tree: HammingTree, node: int) -> list[int]:
 
 
 def leaf_rows(tree: HammingTree, node: int) -> list[int]:
-    """Store rows a leaf node lists, read from its slot of the leaf table."""
-    slot = tree.leaf[node]
-    return tree.rows[slot, : tree.fill[slot]].tolist()
+    """Store rows a leaf node lists, read from its own row of the rows table."""
+    return tree.rows[node, : tree.fill[node]].tolist()
 
 
 def all_nodes(tree: HammingTree, node: int = ROOT) -> list[int]:
@@ -165,44 +165,45 @@ def check_forest_invariants(forest: HammingForest, leaf_capacity: int) -> None:
                 seen.extend(forest.store.ids_at(rows).tolist())
         assert len(seen) == len(set(seen)), "a word id appears in two leaves"
         assert set(seen) == live, "tree membership diverged from the store"
-        assert tree.all_ids() == live, "leaf lookup table diverged"
+        listed = tree.store.ids_at(np.flatnonzero(tree.leaf_of >= 0))
+        assert set(listed.tolist()) == live, "leaf lookup table diverged"
         _check_internal_nodes(tree, nodes, live)
 
 
 def _check_tables(tree: HammingTree) -> list[int]:
-    """Check the node and leaf tables against a walk from the root; returns
-    the nodes reached."""
+    """Check the node tables against a walk from the root; returns the
+    nodes reached."""
     size, words = len(tree.parent), tree.store.nbytes // 8
     assert tree.child.shape == (size, tree.branching) and tree.centres.dtype == np.uint64, "node tables"
     assert tree.centres.shape == (size, words, tree.branching), "routing tables are not one column per child slot"
-    assert len(tree.centre_word) == len(tree.leaf) == size and len(tree.rows) == len(tree.fill), "table sizes"
+    assert len(tree.centre_word) == len(tree.rows) == len(tree.fill) == size, "table sizes"
     nodes = all_nodes(tree)
     assert len(nodes) == len(set(nodes)), "a node is reached twice"
     assert not set(nodes) & set(tree._free_nodes), "a freed node is reachable"
     assert tree.parent[ROOT] == -1 and tree.centre_word[ROOT] == -1, "root with a parent or centre word"
-    slots = []
+    leaves = []
     for node in nodes:
         kids = tree.child[node].tolist()
         count = len(children(tree, node))
         assert kids[count:] == [-1] * (len(kids) - count), "padding before the last child"
         for kid in kids[:count]:
             assert tree.parent[kid] == node, "broken parent link"
+        line = tree.rows[node].tolist()
+        fill = int(tree.fill[node])
         if is_leaf(tree, node):
-            assert count == 0, "leaf with children"
-            slot = int(tree.leaf[node])
-            slots.append(slot)
-            line = tree.rows[slot].tolist()
-            size = int(tree.fill[slot])
-            assert min(line[:size], default=0) >= 0 and line[size:] == [-1] * (len(line) - size), (
+            leaves.append(node)
+            assert min(line[:fill], default=0) >= 0 and line[fill:] == [-1] * (len(line) - fill), (
                 "leaf size column does not match its rows"
             )
-            assert (tree.leaf_of[line[:size]] == node).all(), "row -> leaf array disagrees with a leaf"
+            assert (tree.leaf_of[line[:fill]] == node).all(), "row -> leaf array disagrees with a leaf"
         else:
-            assert count > 0, "internal node without children"
-    assert len(slots) == len(set(slots)), "two leaves share a slot"
-    assert not set(slots) & set(tree._free_leaves), "a freed leaf slot is in use"
+            assert fill == 0 and line == [-1] * len(line), "an internal node holds rows"
+    assert sorted(nodes + tree._free_nodes) == list(range(size)), "a node is neither reachable nor free"
+    for node in tree._free_nodes:
+        assert tree.child[node, 0] < 0, "a freed node has children"
+        assert tree.fill[node] == 0 and (tree.rows[node] == -1).all(), "a freed node holds rows"
     listed = np.flatnonzero(tree.leaf_of >= 0)
-    assert sum(tree.fill[slots]) == len(listed), "row -> leaf array lists rows no leaf holds"
+    assert sum(tree.fill[leaves]) == len(listed), "row -> leaf array lists rows no leaf holds"
     return nodes
 
 

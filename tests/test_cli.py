@@ -384,6 +384,91 @@ def test_extract_rejects_pattern_seed_outside_64_bits(tmp_path, capsys):
     assert not list(feat_dir.glob("*.feat"))
 
 
+NEGATIVE_SEED = "error: seed must be >= 0, got -1\n"
+NEGATIVE_PATTERN_SEED = "error: pattern seed -1 is outside 0..2**64-1\n"
+
+
+@pytest.mark.parametrize(
+    "verb, key, expected",
+    [
+        ("run synthetic", "seed", NEGATIVE_SEED),
+        ("run images", "seed", NEGATIVE_SEED),
+        ("run images", "pattern_seed", NEGATIVE_PATTERN_SEED),
+        ("extract", "--seed", NEGATIVE_PATTERN_SEED),
+        ("synth", "--seed", NEGATIVE_SEED),
+    ],
+    ids=["run-synthetic-seed", "run-images-seed", "run-images-pattern_seed", "extract-seed", "synth-seed"],
+)
+def test_negative_seeds_named(tmp_path, capsys, verb, key, expected):
+    # Before, each of these exited 2 with numpy's "expected non-negative
+    # integer", which names no key.
+    img_dir = _image_dir(tmp_path)
+    out = tmp_path / "out"
+    if verb == "run synthetic":
+        argv = ["run", write_config(tmp_path / "c.cfg", **{**SMALL_RUN, key: -1})]
+    elif verb == "run images":
+        argv = ["run", write_config(tmp_path / "c.cfg", mode="images", input=str(img_dir), **{key: -1})]
+    elif verb == "extract":
+        argv = ["extract", str(img_dir), str(out), key, "-1"]
+    else:
+        argv = ["synth", "new:2", str(out), key, "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == expected
+    assert not list(out.glob("*.feat"))
+
+
+# Each size or seed a run, `synth` or `extract` takes, with the name its
+# refusal must give.  A value past a size bound used to end in a traceback
+# from the first allocation it drove, or in numpy's message naming nothing.
+BOUNDED_KEYS = {
+    "K": "branching",
+    "S": "leaf_capacity",
+    "T_i": "num_trees",
+    "features": "features",
+    "descriptor_bits": "descriptor width",
+    "seed": "seed",
+    "pattern_seed": "pattern seed",
+    "budget": "budget",
+    "p": "buffer_size",
+    "b": "island_halfwidth",
+    "P_f": "probation_frames",
+    "P_o": "required_matches",
+}
+BOUNDED_FLAGS = [
+    ("synth", "--features", "features"),
+    ("synth", "--bits", "descriptor width"),
+    ("synth", "--seed", "seed"),
+    ("extract", "--bits", "descriptor width"),
+    ("extract", "--seed", "pattern seed"),
+]
+SWEPT_VALUES = (-1, 0, 10**12, 2**63, 2**64)
+
+
+def _runs_or_names(capsys, argv, name):
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert code == 2 and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: ") and name in err, (argv, err)
+
+
+@pytest.mark.parametrize("key", BOUNDED_KEYS)
+def test_config_key_boundaries_run_or_are_named(tmp_path, capsys, key):
+    for value in SWEPT_VALUES:
+        config = write_config(tmp_path / "c.cfg", **{"mode": "synthetic", "input": "new:3", "features": 20, key: value})
+        _runs_or_names(capsys, ["run", config], BOUNDED_KEYS[key])
+
+
+@pytest.mark.parametrize("verb, flag, name", BOUNDED_FLAGS)
+def test_flag_boundaries_run_or_are_named(tmp_path, capsys, verb, flag, name):
+    img_dir = _image_dir(tmp_path, count=1)
+    for value in SWEPT_VALUES:
+        given = [str(img_dir), str(tmp_path / "feats")] if verb == "extract" else ["new:3", str(tmp_path / "synth")]
+        _runs_or_names(capsys, [verb, *given, "--features", "20", flag, str(value)], name)
+
+
 @pytest.mark.parametrize("thresholds, token", [("", "''"), (",", "''"), ("10,x", "'x'")])
 def test_sweep_bad_thresholds_named(tmp_path, capsys, thresholds, token):
     # Before, the error named only int()'s message, not the option.

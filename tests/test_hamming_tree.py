@@ -150,10 +150,10 @@ class TestBuild:
         rng = np.random.default_rng(11)
         descs = random_descriptors(rng, 10)
         tree = make_tree({i: descs[i] for i in range(10)}, branching=2, leaf_capacity=3, seed=5)
-        sizes = tree.leaf_sizes()
+        sizes = [len(leaf_rows(tree, n)) for n in all_nodes(tree) if is_leaf(tree, n)]
         assert all(s <= 3 for s in sizes)
         assert sum(sizes) == 10
-        assert tree.all_ids() == set(range(10))
+        assert set(leaf_lookup(tree)) == set(range(10))
         # internal nodes are labelled by the word chosen as cluster centre
         assert not is_leaf(tree, ROOT)
         for child in children(tree, ROOT):
@@ -186,8 +186,8 @@ class TestBuild:
         desc = np.full(32, 0xAB, dtype=np.uint8)
         words = {i: desc.copy() for i in range(40)}
         tree = make_tree(words, branching=4, leaf_capacity=5, seed=1)
-        assert all(s <= 5 for s in tree.leaf_sizes())
-        assert tree.all_ids() == set(range(40))
+        assert all(len(leaf_rows(tree, n)) <= 5 for n in all_nodes(tree) if is_leaf(tree, n))
+        assert set(leaf_lookup(tree)) == set(range(40))
 
     def test_refused_build_leaves_the_forest_unchanged(self):
         # Every word of a build is checked before the first is stored.
@@ -765,7 +765,7 @@ class TestBatchSearch:
                 reached, levels = tree.descend(batch.view(np.uint64))
                 assert reached.tolist() == [plain_descent(tree, q) for q in batch]
                 for idx, nodes, _, _ in levels:
-                    assert len(np.unique(idx)) == len(idx) and (tree.leaf[nodes] < 0).all()
+                    assert len(np.unique(idx)) == len(idx) and (tree.child[nodes, 0] >= 0).all()
                 assert levels[-1][0].size > 0 and all(is_leaf(tree, leaf) for leaf in reached.tolist())
 
     def test_descent_masks_padding_after_prunes(self):
@@ -1104,7 +1104,7 @@ class TestRemove:
         assert leaf not in children(tree, parent)
 
         def node_state():
-            tables = ("child", "centres", "parent", "centre_word", "leaf", "rows", "fill", "leaf_of")
+            tables = ("child", "centres", "parent", "centre_word", "rows", "fill", "leaf_of")
             return [getattr(t, name).tobytes() for t in forest.trees for name in tables]
 
         before = node_state()
@@ -1117,8 +1117,9 @@ class TestRemove:
     def test_invariants_check_routing_tables(self):
         # The routing tables have one column per child slot; a prune that
         # left a hole before the last child, a leaf whose size column
-        # disagrees with its rows, a freed node still reachable and a row
-        # -> leaf array naming the wrong leaf are each caught.
+        # disagrees with its rows, rows left on an internal node, a freed
+        # node still reachable and a row -> leaf array naming the wrong
+        # leaf are each caught.
         rng = np.random.default_rng(51)
         forest = make_forest(random_descriptors(rng, 80), seed=51, branching=4, leaf_capacity=5)
         check_forest_invariants(forest, leaf_capacity=5)
@@ -1127,7 +1128,8 @@ class TestRemove:
         row = leaf_rows(tree, leaves[0])[0]
         for table, index, value, message in (
             ("child", (ROOT, 0), -1, "padding before the last child"),
-            ("fill", tree.leaf[leaves[0]], 0, "size column does not match its rows"),
+            ("fill", leaves[0], 0, "size column does not match its rows"),
+            ("rows", (ROOT, 0), row, "an internal node holds rows"),
             ("leaf_of", row, leaves[1], "row -> leaf array disagrees with a leaf"),
         ):
             kept = getattr(tree, table)[index]
